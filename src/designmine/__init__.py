@@ -69,6 +69,7 @@ from .tree import (
     gen_split_candidates,
     k_fold_cv,
     load_tree,
+    route,
     save_tree,
     split_entropy,
     split_info,

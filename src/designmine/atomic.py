@@ -1,0 +1,26 @@
+"""Atomic text output: write to a temporary file beside the target, then
+rename it over the target, so a failed write never leaves a partial file."""
+
+from __future__ import annotations
+
+import os
+import tempfile
+from contextlib import contextmanager
+
+__all__ = ["atomic_open"]
+
+
+@contextmanager
+def atomic_open(path):
+    """Text handle (UTF-8, no newline translation) that replaces ``path`` when
+    the block exits normally and is discarded when it raises."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-designmine-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

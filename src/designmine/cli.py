@@ -12,24 +12,23 @@ codes: 0 ok, 2 input/ingestion, 3 tree construction, 4 rule selection,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
-from .doe import GENERATOR, SamplingPlan, lhs, sample_count_heuristic
+from .atomic import atomic_open
+from .doe import GENERATOR, SamplingPlan, lhs, sample_count_heuristic, save_samples
 from .errors import (
     ConditioningError,
     DesignMineError,
     EmptyDatasetError,
+    InconsistentCriteriaError,
     IngestionError,
     InvalidParameterError,
     InvalidSplitError,
@@ -50,21 +49,11 @@ from .tree import (
     load_tree,
     save_tree,
     training_accuracy,
-    tree_to_dict,
 )
 from .uncertain import fresh_tuple, load_dataset, load_design_points, make_marginal
 
-THREADS_ENV = "DESIGNMINE_THREADS"
-
 
 # --- output plumbing ----------------------------------------------------------
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def _sha256(path) -> str:
@@ -73,19 +62,6 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return "sha256:" + digest.hexdigest()
-
-
-def _write_atomic(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-designmine-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 class Run:
@@ -104,7 +80,12 @@ class Run:
         self.inputs[str(path)] = _sha256(path)
 
     def write(self, path, text: str) -> None:
-        _write_atomic(path, text)
+        with atomic_open(path) as fh:
+            fh.write(text)
+        self.stamp(path)
+
+    def stamp(self, path) -> None:
+        """Write the manifest of an output that is already in place."""
         manifest = {
             "command": self.command,
             "version": __version__,
@@ -116,7 +97,8 @@ class Run:
             "generator": GENERATOR,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
-        _write_atomic(str(path) + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+        with atomic_open(str(path) + ".manifest.json") as fh:
+            fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def _fmt(value: float) -> str:
@@ -135,13 +117,6 @@ def _screen_csv(label_set, rows) -> str:
         lines.append(
             ",".join([str(r.id)] + [_fmt(r.lp[lab]) for lab in labels] + [str(r.rank)])
         )
-    return "\n".join(lines) + "\n"
-
-
-def _samples_csv(names, samples) -> str:
-    lines = [",".join(names)]
-    for row in np.asarray(samples):
-        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -192,9 +167,10 @@ def cmd_train(args) -> int:
     config = TreeConfig(
         max_layers=args.max_layers, n_split_points=args.splits, seed=args.seed
     )
-    tree = build_tree(dataset, config, threads=_threads())
+    tree = build_tree(dataset, config)
     accuracy = training_accuracy(tree, dataset)
-    run.write(args.out, json.dumps(tree_to_dict(tree), indent=2) + "\n")
+    save_tree(tree, args.out)
+    run.stamp(args.out)
     print(f"training accuracy: {accuracy:.6f}")
     print(f"tree written to {args.out}")
     return 0
@@ -242,7 +218,8 @@ def cmd_sample(args) -> int:
     else:
         raise InvalidParameterError("provide --rules or --bounds to define the box")
     samples = lhs(SamplingPlan(tuple(bounds), args.n, args.seed))
-    run.write(args.out, _samples_csv(names, samples))
+    save_samples(args.out, names, samples)
+    run.stamp(args.out)
     print(f"advisory minimum sample count (3k) for k={len(names)}: {sample_count_heuristic(len(names))}")
     print(f"{args.n} samples written to {args.out}")
     return 0
@@ -316,12 +293,8 @@ def cmd_morph(args) -> int:
     ids_n, nodes = load_points(args.nodes)
     morph = fit_morph(ControlPointSet(original, displaced), args.regularization)
     moved = apply_morph(morph, nodes)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["id", "x", "y", "z"])
-    for i, row in zip(ids_n, moved):
-        writer.writerow([i] + [_fmt(v) for v in row])
-    run.write(args.out, buffer.getvalue())
+    save_points(args.out, ids_n, moved)
+    run.stamp(args.out)
     print(f"condition estimate: {morph.condition:.3e}")
     print(f"{len(ids_n)} nodes morphed to {args.out}")
     return 0
@@ -372,7 +345,6 @@ def cmd_demo(args) -> int:
         top_k=args.top,
         n_system=args.n_system,
         seed=args.seed,
-        threads=_threads(),
     )
     join = lambda name: os.path.join(args.out, name)
     for res in results:
@@ -381,9 +353,11 @@ def cmd_demo(args) -> int:
             join(f"{comp.name}_data.csv"),
             _dataset_csv(comp.variable_names, res.design_matrix, res.labels),
         )
-        run.write(join(f"{comp.name}_tree.json"), json.dumps(tree_to_dict(res.tree), indent=2) + "\n")
+        save_tree(res.tree, join(f"{comp.name}_tree.json"))
+        run.stamp(join(f"{comp.name}_tree.json"))
         run.write(join(f"{comp.name}_rules.json"), json.dumps(res.rules, indent=2) + "\n")
-        run.write(join(f"{comp.name}_samples.csv"), _samples_csv(comp.variable_names, res.candidates))
+        save_samples(join(f"{comp.name}_samples.csv"), comp.variable_names, res.candidates)
+        run.stamp(join(f"{comp.name}_samples.csv"))
         run.write(join(f"{comp.name}_candidates.csv"), _screen_csv(res.tree.label_set, res.ranked))
         run.write(join(f"{comp.name}_screened.csv"), _screen_csv(res.tree.label_set, res.finals))
         print(

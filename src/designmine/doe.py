@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import InvalidParameterError
 from .rules import Rule
 
@@ -73,8 +74,8 @@ def sample_count_heuristic(k: int) -> int:
 
 def save_samples(path, names: Sequence[str], samples: np.ndarray) -> None:
     """Write samples as a dataset-format CSV without the label column."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)
         for row in np.asarray(samples):
             writer.writerow([repr(float(v)) for v in row])

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import solve
 from scipy.spatial.distance import cdist, pdist
 
+from .atomic import atomic_open
 from .errors import ConditioningError, IngestionError, InvalidParameterError
 
 __all__ = [
@@ -169,8 +170,8 @@ def load_points(path):
 def save_points(path, ids, coords) -> None:
     """Write an `id,x,y,z` CSV preserving ids and row order."""
     coords = np.asarray(coords)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "x", "y", "z"])
         for i, row in zip(ids, coords):
             writer.writerow([i] + [repr(float(v)) for v in row])

@@ -75,7 +75,6 @@ def run_component(
     n_subspace: int = 20,
     top_k: int = 10,
     seed: int = 0,
-    threads: int = 1,
 ) -> ComponentResult:
     """Mine one component: DOE, label, train, extract the rule, sample the
     rule box, and screen the new candidates."""
@@ -98,7 +97,7 @@ def run_component(
     config = TreeConfig(
         max_layers=problem.max_layers, n_split_points=n_split_points, seed=seed
     )
-    tree = build_tree(dataset, config, threads=threads)
+    tree = build_tree(dataset, config)
     payload = rules_payload(
         tree, dataset, bounds, problem.target_label, problem.lp_threshold
     )
@@ -156,7 +155,6 @@ def run_demo(
     top_k: int = 10,
     n_system: int = 20,
     seed: int = 0,
-    threads: int = 1,
 ):
     """Run every component of a surrogate spec and recombine the finals.
 
@@ -177,7 +175,6 @@ def run_demo(
                 n_subspace=n_subspace,
                 top_k=top_k,
                 seed=seed * 1000 + index * 10,
-                threads=threads,
             )
         )
     systems = recombine(results, n_system, seed * 1000 + 777)

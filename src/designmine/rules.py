@@ -10,7 +10,6 @@ predicted label probability.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,8 +18,8 @@ from .errors import (
     InvalidParameterError,
     SelectionError,
 )
-from .tree import UncertainTree, LeafNode, classify
-from .uncertain import Dataset, LabelCriteria, UncertainTuple, dataset_mass, partition_tuple
+from .tree import UncertainTree, LeafNode, classify, iter_leaves, route
+from .uncertain import Dataset, LabelCriteria, UncertainTuple, dataset_mass
 
 __all__ = [
     "Branch",
@@ -35,7 +34,6 @@ __all__ = [
     "select_branch",
     "screen_designs",
     "rules_payload",
-    "save_rules",
     "rule_from_payload",
 ]
 
@@ -182,23 +180,26 @@ def branch_to_rule(
     )
 
 
+def _leaf_ctt(tree: UncertainTree, d_origin: Dataset, targets) -> dict:
+    """CTT of every leaf whose dominant label is in ``targets``, keyed by
+    ``id(leaf)`` (trees never share a leaf object between branches).  Each
+    sample labelled with a target is routed once, and each leaf sums its
+    arriving masses in ``d_origin`` order."""
+    dominant = {id(leaf): leaf.dominant for leaf in iter_leaves(tree) if leaf.dominant in targets}
+    reached = dict.fromkeys(dominant, 0.0)
+    for t in d_origin.tuples:
+        if t.label in targets:
+            for leaf, mass in route(tree, t):
+                if dominant.get(id(leaf)) == t.label:
+                    reached[id(leaf)] += mass
+    total = dataset_mass(d_origin)
+    return {key: mass / total for key, mass in reached.items()}
+
+
 def branch_ctt(tree: UncertainTree, branch: Branch, d_origin: Dataset) -> float:
     """Training mass of target-labelled samples reaching this leaf, relative
     to the whole training dataset."""
-    target = branch.dominant
-    total = dataset_mass(d_origin)
-    reached = 0.0
-    for t in d_origin.tuples:
-        if t.label != target:
-            continue
-        frag = t
-        for attr, rel, threshold in branch.path:
-            left, right = partition_tuple(frag, attr, threshold)
-            frag = left if rel == "<=" else right
-            if frag.tp <= 0.0:
-                break
-        reached += frag.tp
-    return reached / total
+    return _leaf_ctt(tree, d_origin, {branch.dominant})[id(branch.leaf)]
 
 
 def score_branches(
@@ -206,14 +207,11 @@ def score_branches(
 ) -> list:
     """ACC/CTT table for the tree's branches (optionally only those whose
     dominant label is the target)."""
-    scores = []
-    for branch in enumerate_branches(tree):
-        if target_label is not None and branch.dominant != target_label:
-            continue
-        scores.append(
-            BranchScore(branch, branch.lp[branch.dominant], branch_ctt(tree, branch, d_origin))
-        )
-    return scores
+    branches = [
+        b for b in enumerate_branches(tree) if target_label is None or b.dominant == target_label
+    ]
+    ctt = _leaf_ctt(tree, d_origin, {b.dominant for b in branches})
+    return [BranchScore(b, b.lp[b.dominant], ctt[id(b.leaf)]) for b in branches]
 
 
 def select_branch(scores: Sequence[BranchScore], target_label: str, lp_threshold: float):
@@ -294,12 +292,6 @@ def rules_payload(
         "branches": branches,
         "selected": selected.branch.id,
     }
-
-
-def save_rules(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def rule_from_payload(payload: dict, branch_id: Optional[str] = None) -> Rule:

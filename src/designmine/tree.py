@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import (
     EmptyDatasetError,
     InvalidParameterError,
@@ -45,6 +45,7 @@ __all__ = [
     "gen_split_candidates",
     "best_split",
     "build_tree",
+    "route",
     "classify",
     "predicted_label",
     "dominant_label",
@@ -246,7 +247,6 @@ def _best_split_scored(
     dataset: Dataset,
     candidates: Sequence[SplitCandidate],
     min_mass: float = MIN_PARTITION_MASS,
-    threads: int = 1,
 ):
     """(best candidate, its gain ratio) or (None, nan) if nothing admissible.
 
@@ -254,16 +254,10 @@ def _best_split_scored(
     so the result does not depend on candidate order.
     """
     masses = label_masses(dataset)
-    if threads > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ratios = list(
-                pool.map(lambda c: _score_candidate(dataset, masses, c, min_mass), candidates)
-            )
-    else:
-        ratios = [_score_candidate(dataset, masses, c, min_mass) for c in candidates]
     best = None
     best_ratio = -math.inf
-    for cand, ratio in zip(candidates, ratios):
+    for cand in candidates:
+        ratio = _score_candidate(dataset, masses, cand, min_mass)
         if ratio is None:
             continue
         if ratio > best_ratio or (
@@ -277,11 +271,10 @@ def best_split(
     dataset: Dataset,
     candidates: Sequence[SplitCandidate],
     min_mass: float = MIN_PARTITION_MASS,
-    threads: int = 1,
 ) -> Optional[SplitCandidate]:
     """Admissible candidate with the largest gain ratio (None when there is
     no admissible candidate)."""
-    cand, _ = _best_split_scored(dataset, candidates, min_mass, threads)
+    cand, _ = _best_split_scored(dataset, candidates, min_mass)
     return cand
 
 
@@ -296,7 +289,7 @@ def _partition_dataset(dataset: Dataset, s: SplitCandidate):
     return dataset.replace_tuples(left), dataset.replace_tuples(right)
 
 
-def build_tree(dataset: Dataset, config: TreeConfig, threads: int = 1) -> UncertainTree:
+def build_tree(dataset: Dataset, config: TreeConfig) -> UncertainTree:
     """Grow the tree recursively until purity, candidate exhaustion, or the
     layer cap."""
     if not dataset.tuples:
@@ -316,9 +309,7 @@ def build_tree(dataset: Dataset, config: TreeConfig, threads: int = 1) -> Uncert
         if sum(1 for m in masses.values() if m > 0.0) <= 1:
             return leaf
         candidates = gen_split_candidates(ds, config.n_split_points)
-        cand, ratio = _best_split_scored(
-            ds, candidates, config.min_partition_mass, threads
-        )
+        cand, ratio = _best_split_scored(ds, candidates, config.min_partition_mass)
         if cand is None or ratio <= 0.0:
             return leaf
         left_ds, right_ds = _partition_dataset(ds, cand)
@@ -331,10 +322,28 @@ def build_tree(dataset: Dataset, config: TreeConfig, threads: int = 1) -> Uncert
     return UncertainTree(dataset.attribute_names, dataset.label_set, grow(dataset, 0), config)
 
 
+def route(tree: UncertainTree, t: UncertainTuple) -> list:
+    """(leaf, arriving mass) pairs for one sample: its mass is split at every
+    internal node, and each leaf it reaches with positive mass is listed once,
+    depth first with the right subtree before the left."""
+    reached = []
+    stack = [(tree.root, t)]
+    while stack:
+        node, frag = stack.pop()
+        if isinstance(node, LeafNode):
+            reached.append((node, frag.tp))
+        else:
+            frag_l, frag_r = partition_tuple(frag, node.attr, node.threshold)
+            if frag_l.tp > 0.0:
+                stack.append((node.left, frag_l))
+            if frag_r.tp > 0.0:
+                stack.append((node.right, frag_r))
+    return reached
+
+
 def classify(tree: UncertainTree, t: UncertainTuple) -> dict:
-    """Label-probability vector for one sample: its mass is routed down the
-    tree, split at every internal node, and the leaf distributions are
-    averaged with the arriving masses as weights."""
+    """Label-probability vector for one sample: the leaf distributions it
+    is routed to, averaged with the arriving masses as weights."""
     if len(t.marginals) != len(tree.attribute_names):
         raise SchemaError(
             f"tuple has {len(t.marginals)} attributes, tree expects "
@@ -343,18 +352,9 @@ def classify(tree: UncertainTree, t: UncertainTuple) -> dict:
     if t.tp <= 0.0:
         raise InvalidParameterError("cannot classify a zero-mass tuple")
     acc = {label: 0.0 for label in tree.label_set}
-    stack = [(tree.root, t)]
-    while stack:
-        node, frag = stack.pop()
-        if isinstance(node, LeafNode):
-            for label, p in node.lp.items():
-                acc[label] += frag.tp * p
-        else:
-            frag_l, frag_r = partition_tuple(frag, node.attr, node.threshold)
-            if frag_l.tp > 0.0:
-                stack.append((node.left, frag_l))
-            if frag_r.tp > 0.0:
-                stack.append((node.right, frag_r))
+    for leaf, mass in route(tree, t):
+        for label, p in leaf.lp.items():
+            acc[label] += mass * p
     return {label: v / t.tp for label, v in acc.items()}
 
 
@@ -485,7 +485,8 @@ def tree_from_dict(data: dict) -> UncertainTree:
 
 
 def save_tree(tree: UncertainTree, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the tree as indented JSON, atomically."""
+    with atomic_open(path) as fh:
         json.dump(tree_to_dict(tree), fh, indent=2)
         fh.write("\n")
 

@@ -1,9 +1,12 @@
 """Independent reference implementations used to check the library.
 
-Everything here works on exact points and plain counts, deliberately sharing
-no code with the package: a certain-data gain-ratio tree (same candidate grid
-and tie-break rules), Monte Carlo routing of sampled exact points through a
-trained tree, and truncated-Gaussian samplers.
+Everything here except the CTT path walk works on exact points and plain
+counts, deliberately sharing no code with the package: a certain-data
+gain-ratio tree (same candidate grid and tie-break rules), Monte Carlo routing
+of sampled exact points through a trained tree, and truncated-Gaussian
+samplers.  The CTT path walk cuts samples with the package's
+``partition_tuple``; it checks the routing that scores branches, not the
+partition itself.
 """
 
 import math
@@ -12,6 +15,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from designmine.tree import UncertainTree, LeafNode
+from designmine.uncertain import dataset_mass, partition_tuple
 
 
 # --- certain-data gain-ratio tree --------------------------------------------
@@ -141,6 +145,29 @@ def mc_classify(tree: UncertainTree, t, n, rng):
     mean = lp.mean(axis=0)
     se = lp.std(axis=0, ddof=1) / math.sqrt(n)
     return mean, se
+
+
+# --- CTT by walking one branch's path -----------------------------------------
+
+
+def path_walk_ctt(branch, d_origin):
+    """CTT of one branch: every sample labelled with the branch's dominant
+    label is cut down the branch's path alone, and the mass left at its end
+    is summed in ``d_origin`` order."""
+    target = branch.dominant
+    total = dataset_mass(d_origin)
+    reached = 0.0
+    for t in d_origin.tuples:
+        if t.label != target:
+            continue
+        frag = t
+        for attr, rel, threshold in branch.path:
+            left, right = partition_tuple(frag, attr, threshold)
+            frag = left if rel == "<=" else right
+            if frag.tp <= 0.0:
+                break
+        reached += frag.tp
+    return reached / total
 
 
 # --- random problem generators -----------------------------------------------

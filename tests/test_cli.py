@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from designmine.cli import main
+from designmine.cli import bundled_surrogate_text, main
 
 
 def run(*argv):
@@ -25,6 +26,10 @@ def dataset_csv(tmp_path):
 
 def manifest_of(path):
     return json.loads((path.parent / (path.name + ".manifest.json")).read_text())
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # --- train ---------------------------------------------------------------------
@@ -135,6 +140,7 @@ def test_sample_from_bounds_deterministic(tmp_path):
     assert run("sample", "--bounds", str(bounds), "--n", "15", "--seed", "9", "--out", str(out1)) == 0
     assert run("sample", "--bounds", str(bounds), "--n", "15", "--seed", "9", "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert sha256_of(out1) == "bcf648efa5670da9fd84983f8f659e153c1c3a0a1bf616694aaacd64f12e4a10"
 
 
 def test_sample_requires_box_source(tmp_path):
@@ -235,6 +241,7 @@ def test_morph_command(tmp_path, capsys):
     moved = np.array([[float(v) for v in l.split(",")[1:]] for l in lines[1:]])
     assert np.allclose(moved, nodes + v, atol=1e-8)
     assert [l.split(",")[0] for l in lines[1:]] == [f"n{i}" for i in range(12)]
+    assert sha256_of(out) == "62f8770a890c6ea58e780e2f2c86feef07f273d7a2ef9ae28f528933e5c95579"
 
 
 def test_morph_coplanar_exits_5(tmp_path):
@@ -277,6 +284,29 @@ def test_cv_bad_k_exits_2(dataset_csv, tmp_path):
 
 # --- demo --------------------------------------------------------------------------
 
+#: SHA-256 of every demo output (manifests aside, as they carry a timestamp).
+DEMO_DIGESTS = {
+    "P2_candidates.csv": "cf37717a02a88ac6faba590fd5318a1a8d56a3986df167ac0b866978944b3f4e",
+    "P2_data.csv": "89f5cbd7edf2608f38f141c3c4c09bb77be5001b302b98eca5e0b49a9d0e186c",
+    "P2_rules.json": "757de6d7219aaae81822b43096af79e3000c4faa967b15223d6e73069d318c8a",
+    "P2_samples.csv": "bc160a93265b73e3ba10235edadb86ad1e842d6713c11e62fe29d6b6be4a4dc0",
+    "P2_screened.csv": "aa6460ea44109043d549f4ec90d6e6abebba090e7504d1ec3d0b27decdd69455",
+    "P2_tree.json": "4cb44edbe531f770e4a06b9e6c666cb2065c52b8e02f7c28a2df6378d7cb47db",
+    "P3_candidates.csv": "bb64d53c876ea4179cd6928a965f61a6d1d5a2d9185accfc07cb54524b12c4cc",
+    "P3_data.csv": "8694c228dda927a4cfcd1f7dd4b52425d8e81e66080e8c8587712e29aa0e289a",
+    "P3_rules.json": "62f31b226f965e8da43e90d9349805a878a1a5b0f7608ddb4f8a421bd8b39b66",
+    "P3_samples.csv": "043c112aeedd116386d4812e685dfcfb83796c2750f5b2595eb0b480db509708",
+    "P3_screened.csv": "6371851378c6b7ac145fc4c06a12749d72d08983ba1d81380b45b1c5d4a48b59",
+    "P3_tree.json": "53384535512d4b148e4498d319de62786942185e287c4dc060f7320177c1c193",
+    "P4_candidates.csv": "41f949cab0b08c02ab93a250d911b27e32579b73ef0f68a3dbca6d7a8c220935",
+    "P4_data.csv": "eade753678bff49a4ed6c2ab412f3a437d26f5d1bd713b632069c721b55db647",
+    "P4_rules.json": "9ecc082db75882423eaa0f3e43c52bd35129e1b6d2d053d98731b38316464e53",
+    "P4_samples.csv": "df9ec2b9d0a5ff72340e0579146efd90476a022c510c0dab651a3d63d75414d2",
+    "P4_screened.csv": "a20ee7d94909b924d33ff1f2d595fb3d9bed14859972135a123cd55550e413a4",
+    "P4_tree.json": "7626826554d7e364f6b534b0f93e1107fb86ea91f5b1cbd589e84bc43056dff0",
+    "system_designs.csv": "bb33c25813d088d668a3a69757135256882e04ed3eb8ddc0a7ff0ed3fc165bef",
+}
+
 
 def test_demo_small_run_deterministic(tmp_path):
     args = ["demo", "--seed", "3", "--n-train", "60", "--max-layers", "5",
@@ -288,9 +318,25 @@ def test_demo_small_run_deterministic(tmp_path):
     assert names
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert {name: sha256_of(out1 / name) for name in names} == DEMO_DIGESTS
     system = (out1 / "system_designs.csv").read_text().strip().splitlines()
     assert len(system) == 9
     for comp in ("P2", "P3", "P4"):
         manifest = manifest_of(out1 / f"{comp}_tree.json")
         assert manifest["command"] == "demo"
         assert manifest["seed"] == 3
+
+
+def test_demo_inconsistent_criteria_exits_2(tmp_path, capsys):
+    spec = json.loads(bundled_surrogate_text())
+    p2 = next(c for c in spec["components"] if c["name"] == "P2")
+    p2["criteria"]["poor"] = [
+        ["SEA", ">", value] if name == "SEA" else [name, op, value]
+        for name, op, value in p2["criteria"]["poor"]
+    ]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec), encoding="utf-8")
+    assert run("demo", "--spec", str(bad), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[InconsistentCriteriaError]") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -109,3 +109,8 @@ def test_save_samples_round_trip(tmp_path):
     names, rows, labels = load_design_points(path)
     assert names == ["a", "b"] and labels is None
     assert np.array_equal(np.asarray(rows), x)
+    text = path.read_bytes()
+    assert b"\r" not in text and text.count(b"\n") == 13
+    # Files written with CRLF line endings read the same.
+    path.write_bytes(text.replace(b"\n", b"\r\n"))
+    assert load_design_points(path) == (names, rows, labels)

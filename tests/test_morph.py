@@ -223,7 +223,13 @@ def test_point_csv_round_trip(tmp_path):
     assert rids == ids
     assert np.array_equal(rcoords, coords)
     save_points(tmp_path / "again.csv", rids, rcoords)
-    assert (tmp_path / "pts.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
+    text = path.read_bytes()
+    assert text == (tmp_path / "again.csv").read_bytes()
+    assert b"\r" not in text and text.count(b"\n") == 5
+    # Files written with CRLF line endings read the same.
+    path.write_bytes(text.replace(b"\n", b"\r\n"))
+    crlf_ids, crlf_coords = load_points(path)
+    assert crlf_ids == ids and np.array_equal(crlf_coords, coords)
 
 
 def test_point_csv_errors(tmp_path):

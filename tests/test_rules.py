@@ -39,7 +39,7 @@ from designmine.uncertain import (
     make_marginal,
 )
 
-from _oracles import mc_classify, random_certain_problem, sample_marginal
+from _oracles import mc_classify, path_walk_ctt, random_certain_problem, sample_marginal
 
 
 def leaf(g, other=0.0, label2="p", mass=1.0):
@@ -200,6 +200,31 @@ def test_ctt_bounded_by_label_probability():
             per_label[b.dominant] = per_label.get(b.dominant, 0.0) + ctt
         for label, total in per_label.items():
             assert total <= label_probability(ds, label) + 1e-9
+
+
+def test_ctt_equals_path_walk_bit_for_bit():
+    """Routing each sample once gives exactly the CTT of walking each
+    branch's path, certain and uncertain, on the training set and on other
+    data scored against the same tree (the `rules --data` case)."""
+    rng = np.random.default_rng(21)
+    for uncertainty in (0.0, 0.05, 0.12):
+        for _ in range(5):
+            points, labels, label_set = random_certain_problem(rng)
+            names = [f"x{i}" for i in range(len(points[0]))]
+            train = dataset_from_design(names, points, labels, uncertainty)
+            tree = build_tree(train, TreeConfig(max_layers=4))
+            rows = rng.uniform(0.0, 11.0, size=(30, len(names))).tolist()
+            other_labels = [label_set[int(i)] for i in rng.integers(0, len(label_set), 30)]
+            other = dataset_from_design(names, rows, other_labels, uncertainty, label_set)
+            branches = enumerate_branches(tree)
+            for d_origin in (train, other):
+                expected = [path_walk_ctt(b, d_origin) for b in branches]
+                assert [s.ctt for s in score_branches(tree, d_origin)] == expected
+                assert [branch_ctt(tree, b, d_origin) for b in branches] == expected
+                for label in label_set:
+                    assert [s.ctt for s in score_branches(tree, d_origin, label)] == [
+                        ctt for b, ctt in zip(branches, expected) if b.dominant == label
+                    ]
 
 
 # --- selection ---------------------------------------------------------------------

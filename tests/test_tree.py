@@ -228,15 +228,6 @@ def test_build_tree_deterministic():
     assert tree_to_dict(t1) == tree_to_dict(t2)
 
 
-def test_build_tree_threads_match_serial():
-    rng = np.random.default_rng(3)
-    points, labels, _ = random_certain_problem(rng)
-    ds = dataset_from_design([f"x{i}" for i in range(len(points[0]))], points, labels, 0.1)
-    serial = build_tree(ds, TreeConfig(max_layers=4))
-    threaded = build_tree(ds, TreeConfig(max_layers=4), threads=4)
-    assert tree_to_dict(serial) == tree_to_dict(threaded)
-
-
 # --- classification ------------------------------------------------------------
 
 
