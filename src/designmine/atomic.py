@@ -1,5 +1,7 @@
 """Atomic text output: write to a temporary file beside the target, then
-rename it over the target, so a failed write never leaves a partial file."""
+rename it over the target, so a failed write never leaves a partial file.
+The file gets the mode a plain ``open`` would give it (0666 less the umask),
+not the owner-only mode of the temporary file."""
 
 from __future__ import annotations
 
@@ -10,6 +12,12 @@ from contextlib import contextmanager
 __all__ = ["atomic_open"]
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 @contextmanager
 def atomic_open(path):
     """Text handle (UTF-8, no newline translation) that replaces ``path`` when
@@ -17,6 +25,7 @@ def atomic_open(path):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-designmine-")
     try:
+        os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)

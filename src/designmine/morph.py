@@ -10,6 +10,7 @@ logarithm throughout.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,8 +144,16 @@ def apply_morph(morph: MorphMap, nodes) -> np.ndarray:
     return a @ morph.kernel_weights + nodes @ morph.affine + morph.offset
 
 
+def _data_rows(reader):
+    """(line number, row) for the non-blank rows after the header."""
+    for lineno, row in enumerate(reader, start=2):
+        if row and any(c.strip() for c in row):
+            yield lineno, row
+
+
 def load_points(path):
-    """Read an `id,x,y,z` CSV; ids come back verbatim as strings."""
+    """Read an `id,x,y,z` CSV; ids come back verbatim as strings.  Every
+    coordinate must be a finite number."""
     ids, coords = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -154,9 +163,7 @@ def load_points(path):
             raise IngestionError(f"{path}: empty file") from None
         if header != ["id", "x", "y", "z"]:
             raise IngestionError(f"{path}: expected header id,x,y,z, got {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        for lineno, row in _data_rows(reader):
             if len(row) != 4:
                 raise IngestionError(f"{path}: row {lineno}: wrong field count")
             ids.append(row[0])
@@ -164,7 +171,15 @@ def load_points(path):
                 coords.append([float(c) for c in row[1:]])
             except ValueError:
                 raise IngestionError(f"{path}: row {lineno}: bad coordinate") from None
-    return ids, np.asarray(coords, dtype=float)
+    points = np.asarray(coords, dtype=float)
+    if not np.isfinite(points).all():
+        bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            lineno, _ = next(itertools.islice(_data_rows(reader), bad, None))
+        raise IngestionError(f"{path}: row {lineno}: non-finite coordinate")
+    return ids, points
 
 
 def save_points(path, ids, coords) -> None:

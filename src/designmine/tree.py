@@ -19,6 +19,7 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import (
     EmptyDatasetError,
+    IngestionError,
     InvalidParameterError,
     InvalidSplitError,
     SchemaError,
@@ -135,9 +136,9 @@ def predicted_label(lp: dict) -> str:
     return dominant_label(lp)
 
 
-def _entropy_of(masses: dict, total: float) -> float:
+def _entropy_of(masses, total: float) -> float:
     h = 0.0
-    for m in masses.values():
+    for m in masses:
         if m > 0.0:
             p = m / total
             h -= p * math.log2(p)
@@ -150,39 +151,200 @@ def entropy(dataset: Dataset) -> float:
     total = sum(masses.values())
     if total <= 0.0:
         raise EmptyDatasetError("entropy undefined on an empty dataset")
-    return _entropy_of(masses, total)
+    return _entropy_of(masses.values(), total)
 
 
-def _partition_label_masses(dataset: Dataset, s: SplitCandidate):
-    """Label-mass totals on each side of the candidate, without materializing
-    fragment tuples."""
-    left = {label: 0.0 for label in dataset.label_set}
-    right = {label: 0.0 for label in dataset.label_set}
-    for t in dataset.tuples:
-        frag_l, frag_r = partition_tuple(t, s.attr, s.value)
-        left[t.label] += frag_l.tp
-        right[t.label] += frag_r.tp
-    return left, right
+# --- the array core ------------------------------------------------------------
+#
+# Growing a tree and scoring splits work on a node's dataset held as arrays,
+# with the same floating-point operations, in the same order, as the tuple
+# definitions in ``uncertain``: ``math.erf`` for the normal CDF, tuple masses
+# multiplied in attribute order from 1.0, label masses added in row order and
+# ``math.log2`` in the gain ratio.  Trees therefore come out bit-identical to
+# growing them tuple by tuple with ``partition_tuple``.
+
+_SQRT2 = math.sqrt(2.0)
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _normal_cdf(x, mean, sigma):
+    """``uncertain._std_normal_cdf((x - mean) / sigma)``, elementwise."""
+    z = (x - mean) / sigma
+    return 0.5 * (1.0 + _erf(z / _SQRT2).astype(float))
+
+
+# Fields of a node's (row, attribute) table: the active box, the box mass,
+# the marginal, and the normal CDF at the box bounds (0 for point marginals).
+_LO, _HI, _MASS, _MEAN, _SIGMA, _NORM, _CDF_LO, _CDF_HI = range(8)
+
+
+class _Rows:
+    """One node's dataset as arrays: ``table`` is (n rows, k attributes,
+    fields), one row per tuple fragment; ``tp`` holds the tuple masses and
+    ``label`` the index of each row's label in the label set.
+
+    Rows are grouped by label, each group in dataset order, and
+    ``bounds[j]:bounds[j + 1]`` is label j's group: every sum the tree takes
+    is per label in row order, so the grouping changes no result.  The
+    active box of a continuous marginal lies inside the marginal's interval,
+    as ``fresh_tuple`` and ``partition_tuple`` keep it.
+    """
+
+    __slots__ = ("table", "tp", "label", "bounds")
+
+    def __init__(self, table, tp, label, n_labels: int):
+        self.table, self.tp, self.label = table, tp, label
+        self.bounds = np.searchsorted(label, np.arange(n_labels + 1)).tolist()
+
+    def take(self, keep) -> "_Rows":
+        """The rows where ``keep`` is true, as a new node."""
+        return _Rows(self.table[keep], self.tp[keep], self.label[keep], len(self.bounds) - 1)
+
+
+def _node_rows(dataset: Dataset) -> _Rows:
+    index = {label: j for j, label in enumerate(dataset.label_set)}
+    tuples = sorted(dataset.tuples, key=lambda t: index[t.label])
+    table = np.zeros((len(tuples), len(dataset.attribute_names), 8))
+    for row, t in zip(table, tuples):
+        row[:, _LO:_HI + 1] = t.active_box
+        row[:, _MASS] = t.box_mass
+        row[:, _MEAN:_NORM + 1] = [(m.mean, m.sigma, m.normalizer) for m in t.marginals]
+    cont = table[..., _SIGMA] != 0.0
+    for bound, cdf in ((_LO, _CDF_LO), (_HI, _CDF_HI)):
+        x = table[..., bound][cont]
+        table[..., cdf][cont] = _normal_cdf(x, table[..., _MEAN][cont], table[..., _SIGMA][cont])
+    return _Rows(
+        table,
+        np.array([t.tp for t in tuples], dtype=float),
+        np.array([index[t.label] for t in tuples], dtype=np.intp),
+        len(dataset.label_set),
+    )
+
+
+def _cut(rows: _Rows, attr: int, values):
+    """Cut every row's active box on one attribute at each threshold.
+
+    Returns (n, C) arrays: the left and right box masses of the attribute,
+    the thresholds clipped to each box and the normal CDF there.  The CDF is
+    evaluated only where a threshold falls strictly inside a continuous box;
+    at a bound it is the cached one.  Point marginals send their mass left
+    when ``mean <= threshold``.
+    """
+    if not 0 <= attr < rows.table.shape[1]:
+        raise IndexError(f"attribute index {attr} out of range")
+    col = rows.table[:, attr, :, None]
+    a, b, mean, sigma = col[:, _LO], col[:, _HI], col[:, _MEAN], col[:, _SIGMA]
+    cdf_a, cdf_b = col[:, _CDF_LO], col[:, _CDF_HI]
+    point = sigma == 0.0
+    s = np.asarray(values, dtype=float)[None, :]
+    sc = np.minimum(np.maximum(s, a), b)
+    cdf = np.where(sc >= b, cdf_b, cdf_a)
+    inside = (sc > a) & (sc < b) & ~point
+    if inside.any():
+        r = np.nonzero(inside)[0]
+        cdf[inside] = _normal_cdf(sc[inside], mean[r, 0], sigma[r, 0])
+    norm = col[:, _NORM]
+    left = np.where(sc > a, norm * (cdf - cdf_a), 0.0)
+    right = np.where(b > sc, norm * (cdf_b - cdf), 0.0)
+    mass = col[:, _MASS]
+    goes_left = s >= mean
+    left = np.where(point, np.where(goes_left, mass, 0.0), left)
+    right = np.where(point, np.where(goes_left, 0.0, mass), right)
+    return left, right, sc, cdf
+
+
+def _fragment_tp(rows: _Rows, attr: int, cut):
+    """Tuple masses with attribute ``attr``'s box mass replaced by each column
+    of ``cut``: the product over attributes in attribute order from 1.0."""
+    mass = rows.table[..., _MASS]
+    prefix = np.ones(len(rows.tp))
+    for k in range(attr):
+        prefix = prefix * mass[:, k]
+    tp = prefix[:, None] * cut
+    for k in range(attr + 1, mass.shape[1]):
+        tp = tp * mass[:, k, None]
+    return tp
+
+
+def _label_sums(rows: _Rows, x):
+    """Per-label sums of the rows of ``x``, each in row order from 0.0:
+    one array of ``x.shape[1:]`` per label."""
+    out = []
+    for start, stop in zip(rows.bounds, rows.bounds[1:]):
+        if stop > start:
+            # + 0.0: a sum that starts from 0.0 never ends at -0.0
+            out.append(x[start:stop].cumsum(axis=0)[-1] + 0.0)
+        else:
+            out.append(np.zeros(x.shape[1:]))
+    return out
+
+
+def _masses(rows: _Rows) -> list:
+    """Label masses of the node, as floats in label-set order."""
+    return [float(m) for m in _label_sums(rows, rows.tp)]
+
+
+def _split_stats(rows: _Rows, attr: int, values, min_mass: float) -> list:
+    """Score thresholds on one attribute in one broadcast.
+
+    One entry per threshold: (left label masses, right label masses, left
+    mass, right mass), or None when a side is lighter than ``min_mass``.
+    """
+    left, right, _, _ = _cut(rows, attr, values)
+    shape = (len(rows.bounds) - 1, len(values))
+    lm = np.array(_label_sums(rows, _fragment_tp(rows, attr, left))).reshape(shape)
+    rm = np.array(_label_sums(rows, _fragment_tp(rows, attr, right))).reshape(shape)
+    stats = []
+    for lms, rms in zip(lm.T.tolist(), rm.T.tolist()):
+        lt, rt = sum(lms), sum(rms)
+        stats.append(None if lt < min_mass or rt < min_mass else (lms, rms, lt, rt))
+    return stats
+
+
+def _partition(rows: _Rows, attr: int, value: float):
+    """The (left, right) child nodes of a split: rows of positive fragment
+    mass, with the cut attribute's box mass, box bound and CDF updated."""
+    left, right, sc, cdf = _cut(rows, attr, [value])
+    children = []
+    for cut, bound, cdf_bound in ((left, _HI, _CDF_HI), (right, _LO, _CDF_LO)):
+        tp = _fragment_tp(rows, attr, cut)[:, 0]
+        keep = tp > 0.0
+        child = rows.take(keep)
+        child.tp = tp[keep]
+        col = child.table[:, attr]
+        col[:, _MASS] = cut[keep, 0]
+        cont = col[:, _SIGMA] != 0.0
+        col[cont, bound] = sc[keep, 0][cont]
+        col[cont, cdf_bound] = cdf[keep, 0][cont]
+        children.append(child)
+    return children
+
+
+def _split_entropy_of(left, right, lt: float, rt: float) -> float:
+    total = lt + rt
+    return (lt / total) * _entropy_of(left, lt) + (rt / total) * _entropy_of(right, rt)
+
+
+def _split_info_of(lt: float, rt: float) -> float:
+    total = lt + rt
+    wl, wr = lt / total, rt / total
+    return -(wl * math.log2(wl) + wr * math.log2(wr))
 
 
 def _side_stats(dataset: Dataset, s: SplitCandidate, min_mass: float):
-    left, right = _partition_label_masses(dataset, s)
-    lt = sum(left.values())
-    rt = sum(right.values())
-    if lt < min_mass or rt < min_mass:
+    stats = _split_stats(_node_rows(dataset), s.attr, [s.value], min_mass)[0]
+    if stats is None:
         raise InvalidSplitError(
             f"split at attr {s.attr} value {s.value} leaves an empty partition"
         )
-    return left, right, lt, rt
+    return stats
 
 
 def split_entropy(
     dataset: Dataset, s: SplitCandidate, min_mass: float = MIN_PARTITION_MASS
 ) -> float:
     """Mass-weighted entropy of the two partitions induced by the candidate."""
-    left, right, lt, rt = _side_stats(dataset, s, min_mass)
-    total = lt + rt
-    return (lt / total) * _entropy_of(left, lt) + (rt / total) * _entropy_of(right, rt)
+    return _split_entropy_of(*_side_stats(dataset, s, min_mass))
 
 
 def split_info(
@@ -190,26 +352,21 @@ def split_info(
 ) -> float:
     """Entropy of the partition sizes themselves; normalizes the gain."""
     _, _, lt, rt = _side_stats(dataset, s, min_mass)
-    total = lt + rt
-    wl, wr = lt / total, rt / total
-    return -(wl * math.log2(wl) + wr * math.log2(wr))
+    return _split_info_of(lt, rt)
 
 
 def gain_ratio(
     dataset: Dataset, s: SplitCandidate, min_mass: float = MIN_PARTITION_MASS
 ) -> float:
     """Information gain of the split divided by its split info."""
-    left, right, lt, rt = _side_stats(dataset, s, min_mass)
-    return _gain_ratio_from(label_masses(dataset), left, right, lt, rt)
+    stats = _side_stats(dataset, s, min_mass)
+    masses = list(label_masses(dataset).values())
+    return _gain_ratio_of(_entropy_of(masses, sum(masses)), stats)
 
 
-def _gain_ratio_from(parent_masses, left, right, lt, rt) -> float:
-    total = lt + rt
-    parent_h = _entropy_of(parent_masses, sum(parent_masses.values()))
-    wl, wr = lt / total, rt / total
-    se = wl * _entropy_of(left, lt) + wr * _entropy_of(right, rt)
-    si = -(wl * math.log2(wl) + wr * math.log2(wr))
-    return (parent_h - se) / si
+def _gain_ratio_of(parent_h: float, stats) -> float:
+    _, _, lt, rt = stats
+    return (parent_h - _split_entropy_of(*stats)) / _split_info_of(lt, rt)
 
 
 def gen_split_candidates(dataset: Dataset, n: int) -> list:
@@ -218,46 +375,54 @@ def gen_split_candidates(dataset: Dataset, n: int) -> list:
     The grid spans the union of the active boxes at this node; attributes
     whose extent has collapsed contribute no candidates.
     """
+    k = len(dataset.attribute_names)
+    n_rows = len(dataset.tuples)
+    box = np.array([t.active_box for t in dataset.tuples], dtype=float).reshape(n_rows, k, 2)
+    return _candidates(box[..., 0], box[..., 1], n)
+
+
+def _candidates(lo, hi, n: int) -> list:
     candidates = []
-    if not dataset.tuples:
+    if not len(lo):
         return candidates
-    for attr in range(len(dataset.attribute_names)):
-        lo = min(t.active_box[attr][0] for t in dataset.tuples)
-        hi = max(t.active_box[attr][1] for t in dataset.tuples)
-        if not hi > lo:
+    for attr in range(lo.shape[1]):
+        a = float(lo[:, attr].min())
+        b = float(hi[:, attr].max())
+        if not b > a:
             continue
-        step = (hi - lo) / (n + 1)
+        step = (b - a) / (n + 1)
         for i in range(1, n + 1):
-            v = lo + i * step
-            if lo < v < hi:
+            v = a + i * step
+            if a < v < b:
                 candidates.append(SplitCandidate(attr, v))
     return candidates
 
 
-def _score_candidate(dataset, masses, cand, min_mass):
-    left, right = _partition_label_masses(dataset, cand)
-    lt = sum(left.values())
-    rt = sum(right.values())
-    if lt < min_mass or rt < min_mass:
-        return None
-    return _gain_ratio_from(masses, left, right, lt, rt)
+def _gain_ratios(rows: _Rows, masses, candidates, min_mass: float) -> list:
+    """Gain ratio of each candidate (None where inadmissible), scoring each
+    attribute's thresholds in one broadcast."""
+    parent_h = _entropy_of(masses, sum(masses))
+    by_attr = {}
+    for i, cand in enumerate(candidates):
+        by_attr.setdefault(cand.attr, []).append(i)
+    ratios = [None] * len(candidates)
+    for attr, idx in by_attr.items():
+        stats = _split_stats(rows, attr, [candidates[i].value for i in idx], min_mass)
+        for i, st in zip(idx, stats):
+            if st is not None:
+                ratios[i] = _gain_ratio_of(parent_h, st)
+    return ratios
 
 
-def _best_split_scored(
-    dataset: Dataset,
-    candidates: Sequence[SplitCandidate],
-    min_mass: float = MIN_PARTITION_MASS,
-):
-    """(best candidate, its gain ratio) or (None, nan) if nothing admissible.
+def _best_split_scored(rows: _Rows, masses, candidates, min_mass: float):
+    """(best candidate, its gain ratio) or (None, -inf) if nothing admissible.
 
     Ties break toward the lowest attribute index, then the lowest threshold,
     so the result does not depend on candidate order.
     """
-    masses = label_masses(dataset)
     best = None
     best_ratio = -math.inf
-    for cand in candidates:
-        ratio = _score_candidate(dataset, masses, cand, min_mass)
+    for cand, ratio in zip(candidates, _gain_ratios(rows, masses, candidates, min_mass)):
         if ratio is None:
             continue
         if ratio > best_ratio or (
@@ -274,23 +439,30 @@ def best_split(
 ) -> Optional[SplitCandidate]:
     """Admissible candidate with the largest gain ratio (None when there is
     no admissible candidate)."""
-    cand, _ = _best_split_scored(dataset, candidates, min_mass)
+    rows = _node_rows(dataset)
+    cand, _ = _best_split_scored(rows, _masses(rows), candidates, min_mass)
     return cand
 
 
-def _partition_dataset(dataset: Dataset, s: SplitCandidate):
-    left, right = [], []
-    for t in dataset.tuples:
-        frag_l, frag_r = partition_tuple(t, s.attr, s.value)
-        if frag_l.tp > 0.0:
-            left.append(frag_l)
-        if frag_r.tp > 0.0:
-            right.append(frag_r)
-    return dataset.replace_tuples(left), dataset.replace_tuples(right)
+def _grow_split(rows: _Rows, masses, depth: int, config: TreeConfig):
+    """(candidate, left rows, right rows) for the node's split, or None when
+    it stays a leaf."""
+    if depth >= config.max_layers:
+        return None
+    if sum(1 for m in masses if m > 0.0) <= 1:
+        return None
+    candidates = _candidates(rows.table[..., _LO], rows.table[..., _HI], config.n_split_points)
+    cand, ratio = _best_split_scored(rows, masses, candidates, config.min_partition_mass)
+    if cand is None or ratio <= 0.0:
+        return None
+    left, right = _partition(rows, cand.attr, cand.value)
+    if not len(left.tp) or not len(right.tp):
+        return None
+    return cand, left, right
 
 
 def build_tree(dataset: Dataset, config: TreeConfig) -> UncertainTree:
-    """Grow the tree recursively until purity, candidate exhaustion, or the
+    """Grow the tree depth first until purity, candidate exhaustion, or the
     layer cap."""
     if not dataset.tuples:
         raise TreeConstructionError("cannot build a tree from an empty dataset")
@@ -299,27 +471,35 @@ def build_tree(dataset: Dataset, config: TreeConfig) -> UncertainTree:
     if dataset_mass(dataset) <= 0.0:
         raise TreeConstructionError("training dataset has zero mass")
 
-    def grow(ds: Dataset, depth: int) -> Node:
-        masses = label_masses(ds)
-        total = sum(masses.values())
-        lp = {label: masses[label] / total for label in ds.label_set}
-        leaf = LeafNode(lp, total)
-        if depth >= config.max_layers:
-            return leaf
-        if sum(1 for m in masses.values() if m > 0.0) <= 1:
-            return leaf
-        candidates = gen_split_candidates(ds, config.n_split_points)
-        cand, ratio = _best_split_scored(ds, candidates, config.min_partition_mass)
-        if cand is None or ratio <= 0.0:
-            return leaf
-        left_ds, right_ds = _partition_dataset(ds, cand)
-        if not left_ds.tuples or not right_ds.tuples:
-            return leaf
-        return SplitNode(
-            cand.attr, cand.value, grow(left_ds, depth + 1), grow(right_ds, depth + 1)
-        )
+    plan = []
+    stack = [(_node_rows(dataset), 0, None)]
+    while stack:
+        rows, depth, slot = stack.pop()
+        if slot is not None:
+            plan[slot[0]][slot[1]] = len(plan)
+        masses = _masses(rows)
+        split = _grow_split(rows, masses, depth, config)
+        if split is None:
+            total = sum(masses)
+            lp = {label: m / total for label, m in zip(dataset.label_set, masses)}
+            plan.append(LeafNode(lp, total))
+        else:
+            cand, left, right = split
+            index = len(plan)
+            plan.append([cand.attr, cand.value, None, None])
+            stack.append((right, depth + 1, (index, 3)))
+            stack.append((left, depth + 1, (index, 2)))
+    return UncertainTree(dataset.attribute_names, dataset.label_set, _link(plan), config)
 
-    return UncertainTree(dataset.attribute_names, dataset.label_set, grow(dataset, 0), config)
+
+def _link(plan: list) -> Node:
+    """Root of a tree given in preorder, each entry a leaf or
+    ``[attr, threshold, left index, right index]``."""
+    nodes = [None] * len(plan)
+    for i in range(len(plan) - 1, -1, -1):
+        p = plan[i]
+        nodes[i] = p if isinstance(p, LeafNode) else SplitNode(p[0], p[1], nodes[p[2]], nodes[p[3]])
+    return nodes[0]
 
 
 def route(tree: UncertainTree, t: UncertainTuple) -> list:
@@ -444,15 +624,46 @@ def _node_to_dict(node: Node):
     }
 
 
-def _node_from_dict(data):
-    if data["kind"] == "leaf":
-        return LeafNode({str(k): float(v) for k, v in data["lp"].items()}, float(data["mass"]))
-    return SplitNode(
-        int(data["attr"]),
-        float(data["threshold"]),
-        _node_from_dict(data["left"]),
-        _node_from_dict(data["right"]),
-    )
+def _node_from_dict(data, n_attrs: int, label_set: tuple) -> Node:
+    """Rebuild the node tree of ``data``, checking every node on the way:
+    its kind, a split's attribute index and threshold, a leaf's lp labels.
+    Errors raise ``IngestionError`` naming the node by its path from the
+    root."""
+    plan = []
+    stack = [(data, "root", None)]
+    while stack:
+        node, where, slot = stack.pop()
+        if slot is not None:
+            plan[slot[0]][slot[1]] = len(plan)
+        kind = node.get("kind") if isinstance(node, dict) else None
+        try:
+            if kind == "leaf":
+                lp = {str(k): float(v) for k, v in node["lp"].items()}
+                if set(lp) != set(label_set):
+                    raise IngestionError(
+                        f"{where}: lp labels {sorted(lp)} differ from the tree's "
+                        f"labels {sorted(label_set)}"
+                    )
+                plan.append(LeafNode(lp, float(node["mass"])))
+            elif kind == "split":
+                attr, threshold = node["attr"], float(node["threshold"])
+                if type(attr) is not int or not 0 <= attr < n_attrs:
+                    raise IngestionError(
+                        f"{where}: attribute index {attr!r} is not in [0, {n_attrs})"
+                    )
+                if not math.isfinite(threshold):
+                    raise IngestionError(f"{where}: threshold {threshold} is not finite")
+                index = len(plan)
+                plan.append([attr, threshold, None, None])
+                stack.append((node["right"], where + ".right", (index, 3)))
+                stack.append((node["left"], where + ".left", (index, 2)))
+            else:
+                raise IngestionError(
+                    f"{where}: node kind must be 'leaf' or 'split', got {kind!r}"
+                )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise IngestionError(f"{where}: malformed {kind} node ({exc!r})") from None
+    return _link(plan)
 
 
 def tree_to_dict(tree: UncertainTree) -> dict:
@@ -470,18 +681,25 @@ def tree_to_dict(tree: UncertainTree) -> dict:
 
 
 def tree_from_dict(data: dict) -> UncertainTree:
-    root = _node_from_dict(data["root"])
-    cfg = data.get("config")
-    if cfg is None:
-        config = TreeConfig(max_layers=max(1, _node_depth(root)))
-    else:
-        config = TreeConfig(
-            max_layers=int(cfg["max_layers"]),
-            n_split_points=int(cfg.get("n_split_points", 10)),
-            min_partition_mass=float(cfg.get("min_partition_mass", MIN_PARTITION_MASS)),
-            seed=int(cfg.get("seed", 0)),
-        )
-    return UncertainTree(tuple(data["attributes"]), tuple(data["labels"]), root, config)
+    """Tree from its ``tree_to_dict`` form; malformed input raises
+    ``IngestionError``."""
+    try:
+        attributes = tuple(str(a) for a in data["attributes"])
+        labels = tuple(str(label) for label in data["labels"])
+        root = _node_from_dict(data["root"], len(attributes), labels)
+        cfg = data.get("config")
+        if cfg is None:
+            config = TreeConfig(max_layers=max(1, _node_depth(root)))
+        else:
+            config = TreeConfig(
+                max_layers=int(cfg["max_layers"]),
+                n_split_points=int(cfg.get("n_split_points", 10)),
+                min_partition_mass=float(cfg.get("min_partition_mass", MIN_PARTITION_MASS)),
+                seed=int(cfg.get("seed", 0)),
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise IngestionError(f"malformed tree ({exc!r})") from None
+    return UncertainTree(attributes, labels, root, config)
 
 
 def save_tree(tree: UncertainTree, path) -> None:
@@ -493,4 +711,8 @@ def save_tree(tree: UncertainTree, path) -> None:
 
 def load_tree(path) -> UncertainTree:
     with open(path, encoding="utf-8") as fh:
-        return tree_from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return tree_from_dict(data)
+    except IngestionError as exc:
+        raise IngestionError(f"{path}: {exc}") from None

@@ -1,12 +1,14 @@
 """Independent reference implementations used to check the library.
 
-Everything here except the CTT path walk works on exact points and plain
-counts, deliberately sharing no code with the package: a certain-data
-gain-ratio tree (same candidate grid and tie-break rules), Monte Carlo routing
-of sampled exact points through a trained tree, and truncated-Gaussian
-samplers.  The CTT path walk cuts samples with the package's
-``partition_tuple``; it checks the routing that scores branches, not the
-partition itself.
+Everything here except the CTT path walk and the scalar tree builder works on
+exact points and plain counts, deliberately sharing no code with the package:
+a certain-data gain-ratio tree (same candidate grid and tie-break rules),
+Monte Carlo routing of sampled exact points through a trained tree, and
+truncated-Gaussian samplers.  The CTT path walk cuts samples with the
+package's ``partition_tuple``; it checks the routing that scores branches,
+not the partition itself.  The scalar tree builder grows an uncertain tree
+tuple by tuple with ``partition_tuple``: it is the definition the array core
+of ``designmine.tree`` must reproduce bit for bit.
 """
 
 import math
@@ -14,8 +16,8 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from designmine.tree import UncertainTree, LeafNode
-from designmine.uncertain import dataset_mass, partition_tuple
+from designmine.tree import LeafNode, SplitCandidate, SplitNode, UncertainTree
+from designmine.uncertain import dataset_mass, label_masses, partition_tuple
 
 
 # --- certain-data gain-ratio tree --------------------------------------------
@@ -105,6 +107,113 @@ def certain_predict(node, x):
     while isinstance(node, CSplit):
         node = node.left if x[node.attr] <= node.threshold else node.right
     return node.label
+
+
+# --- scalar uncertain-tree builder ------------------------------------------
+
+
+def _entropy_of(masses, total):
+    h = 0.0
+    for m in masses.values():
+        if m > 0.0:
+            p = m / total
+            h -= p * math.log2(p)
+    return h
+
+
+def _partition_label_masses(dataset, s):
+    left = {label: 0.0 for label in dataset.label_set}
+    right = {label: 0.0 for label in dataset.label_set}
+    for t in dataset.tuples:
+        frag_l, frag_r = partition_tuple(t, s.attr, s.value)
+        left[t.label] += frag_l.tp
+        right[t.label] += frag_r.tp
+    return left, right
+
+
+def oracle_gain_ratio(dataset, s, min_mass):
+    """Gain ratio of one candidate, or None when a side is lighter than
+    ``min_mass``."""
+    left, right = _partition_label_masses(dataset, s)
+    lt = sum(left.values())
+    rt = sum(right.values())
+    if lt < min_mass or rt < min_mass:
+        return None
+    parent = label_masses(dataset)
+    total = lt + rt
+    parent_h = _entropy_of(parent, sum(parent.values()))
+    wl, wr = lt / total, rt / total
+    se = wl * _entropy_of(left, lt) + wr * _entropy_of(right, rt)
+    si = -(wl * math.log2(wl) + wr * math.log2(wr))
+    return (parent_h - se) / si
+
+
+def oracle_candidates(dataset, n):
+    candidates = []
+    if not dataset.tuples:
+        return candidates
+    for attr in range(len(dataset.attribute_names)):
+        lo = min(t.active_box[attr][0] for t in dataset.tuples)
+        hi = max(t.active_box[attr][1] for t in dataset.tuples)
+        if not hi > lo:
+            continue
+        step = (hi - lo) / (n + 1)
+        for i in range(1, n + 1):
+            v = lo + i * step
+            if lo < v < hi:
+                candidates.append(SplitCandidate(attr, v))
+    return candidates
+
+
+def oracle_best_split_scored(dataset, candidates, min_mass):
+    best, best_ratio = None, -math.inf
+    for cand in candidates:
+        ratio = oracle_gain_ratio(dataset, cand, min_mass)
+        if ratio is None:
+            continue
+        if ratio > best_ratio or (
+            ratio == best_ratio and (cand.attr, cand.value) < (best.attr, best.value)
+        ):
+            best, best_ratio = cand, ratio
+    return best, best_ratio
+
+
+def _partition_dataset(dataset, s):
+    left, right = [], []
+    for t in dataset.tuples:
+        frag_l, frag_r = partition_tuple(t, s.attr, s.value)
+        if frag_l.tp > 0.0:
+            left.append(frag_l)
+        if frag_r.tp > 0.0:
+            right.append(frag_r)
+    return dataset.replace_tuples(left), dataset.replace_tuples(right)
+
+
+def oracle_build(dataset, config):
+    """Grow the tree recursively, one ``partition_tuple`` call per fragment
+    and candidate, with the package's tie-break and stop rules."""
+
+    def grow(ds, depth):
+        masses = label_masses(ds)
+        total = sum(masses.values())
+        lp = {label: masses[label] / total for label in ds.label_set}
+        leaf = LeafNode(lp, total)
+        if depth >= config.max_layers:
+            return leaf
+        if sum(1 for m in masses.values() if m > 0.0) <= 1:
+            return leaf
+        candidates = oracle_candidates(ds, config.n_split_points)
+        cand, ratio = oracle_best_split_scored(ds, candidates, config.min_partition_mass)
+        if cand is None or ratio <= 0.0:
+            return leaf
+        left_ds, right_ds = _partition_dataset(ds, cand)
+        if not left_ds.tuples or not right_ds.tuples:
+            return leaf
+        return SplitNode(
+            cand.attr, cand.value, grow(left_ds, depth + 1), grow(right_ds, depth + 1)
+        )
+
+    return UncertainTree(dataset.attribute_names, dataset.label_set, grow(dataset, 0), config)
 
 
 # --- Monte Carlo classification ----------------------------------------------

@@ -187,6 +187,31 @@ def test_screen_schema_mismatch_exits_2(dataset_csv, tmp_path):
                "--out", str(tmp_path / "s.csv")) == 2
 
 
+def classify_with_edited_tree(dataset_csv, tmp_path, edit):
+    tree = trained_tree(dataset_csv, tmp_path)
+    data = json.loads(tree.read_text())
+    edit(data)
+    tree.write_text(json.dumps(data), encoding="utf-8")
+    return run("classify", "--tree", str(tree), "--data", str(dataset_csv),
+               "--out", str(tmp_path / "lp.csv"))
+
+
+def test_classify_tree_node_without_kind_exits_2(dataset_csv, tmp_path, capsys):
+    code = classify_with_edited_tree(dataset_csv, tmp_path, lambda d: d["root"].pop("kind"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[IngestionError]") and "tree.json: root:" in err
+
+
+def test_classify_tree_attr_out_of_range_exits_2(dataset_csv, tmp_path, capsys):
+    code = classify_with_edited_tree(
+        dataset_csv, tmp_path, lambda d: d["root"]["left"].update(attr=9)
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[IngestionError]") and "root.left: attribute index 9" in err
+
+
 # --- metrics -----------------------------------------------------------------------
 
 

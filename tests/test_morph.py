@@ -241,3 +241,11 @@ def test_point_csv_errors(tmp_path):
     bad2.write_text("id,x,y,z\n1,a,b,c\n", encoding="utf-8")
     with pytest.raises(IngestionError):
         load_points(bad2)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_point_csv_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "pts.csv"
+    path.write_text(f"id,x,y,z\n1,1,2,3\n\n2,1,2,{value}\n", encoding="utf-8")
+    with pytest.raises(IngestionError, match=r"pts\.csv: row 4: non-finite"):
+        load_points(path)

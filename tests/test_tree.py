@@ -1,10 +1,14 @@
 """Tests for uncertain-data tree construction, scoring, and classification."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from designmine.errors import (
     EmptyDatasetError,
+    IngestionError,
     InvalidParameterError,
     InvalidSplitError,
     SchemaError,
@@ -32,6 +36,7 @@ from designmine.tree import (
     test_accuracy as holdout_accuracy,
     training_accuracy,
     tree_depth,
+    tree_from_dict,
     tree_to_dict,
 )
 from designmine.uncertain import (
@@ -378,3 +383,32 @@ def test_tree_json_round_trip(tmp_path):
     loaded = load_tree(path)
     assert tree_to_dict(loaded) == tree_to_dict(tree)
     assert loaded == tree
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_save_tree_mode_follows_umask(tmp_path, umask, mode):
+    path = tmp_path / "tree.json"
+    old = os.umask(umask)
+    try:
+        save_tree(build_tree(WORKED, TreeConfig(max_layers=2)), path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["root"].update(kind="branch"), "root: node kind"),
+        (lambda d: d["root"].update(attr=-1), "root: attribute index -1"),
+        (lambda d: d["root"].update(threshold=float("inf")), "root: threshold inf"),
+        (lambda d: d["root"]["left"]["lp"].pop("g"), "root.left: lp labels"),
+        (lambda d: d["root"]["right"].pop("mass"), "root.right: malformed leaf"),
+        (lambda d: d.pop("labels"), "malformed tree"),
+    ],
+)
+def test_tree_from_dict_rejects_malformed_nodes(edit, message):
+    data = tree_to_dict(build_tree(WORKED, TreeConfig(max_layers=2)))
+    edit(data)
+    with pytest.raises(IngestionError, match=message):
+        tree_from_dict(data)
