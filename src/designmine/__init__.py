@@ -64,6 +64,7 @@ from .tree import (
     best_split,
     build_tree,
     classify,
+    classify_batch,
     entropy,
     gain_ratio,
     gen_split_candidates,

@@ -39,12 +39,12 @@ from .errors import (
 from .metrics import avgstiff, load_curve, load_histories, peak_force, peak_intrusion, sea, total_mass
 from .morph import ControlPointSet, apply_morph, fit_morph, load_points, save_points
 from .pipeline import run_demo
-from .rules import rule_from_payload, rules_payload
+from .rules import rule_from_payload, rules_payload, screen_designs
 from .surrogate import load_surrogate
 from .tree import (
     TreeConfig,
     build_tree,
-    classify,
+    classify_batch,
     k_fold_cv,
     load_tree,
     save_tree,
@@ -206,7 +206,10 @@ def cmd_sample(args) -> int:
         run.add_input(args.rules)
         with open(args.rules, encoding="utf-8") as fh:
             payload = json.load(fh)
-        rule = rule_from_payload(payload, args.branch)
+        try:
+            rule = rule_from_payload(payload, args.branch)
+        except (IngestionError, InvalidParameterError) as exc:
+            raise type(exc)(f"{args.rules}: {exc}") from None
         names = list(rule.attribute_names)
         bounds = list(zip(rule.lower, rule.upper))
     elif args.bounds:
@@ -226,8 +229,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    from .rules import screen_designs
-
     run = Run("screen", args)
     run.add_input(args.tree)
     run.add_input(args.designs)
@@ -249,10 +250,9 @@ def cmd_classify(args) -> int:
     tree = load_tree(args.tree)
     _, _, tuples = _design_tuples(args.data, args.uncertainty, tree.attribute_names)
     labels = _lp_columns(tree.label_set)
+    lp = classify_batch(tree, tuples)[:, [tree.label_set.index(lab) for lab in labels]]
     lines = ["id," + ",".join(f"lp_{lab}" for lab in labels)]
-    for t in tuples:
-        lp = classify(tree, t)
-        lines.append(",".join([str(t.id)] + [_fmt(lp[lab]) for lab in labels]))
+    lines += [",".join([str(t.id)] + [_fmt(v) for v in row]) for t, row in zip(tuples, lp.tolist())]
     run.write(args.out, "\n".join(lines) + "\n")
     print(f"{len(tuples)} classifications written to {args.out}")
     return 0

@@ -10,15 +10,20 @@ predicted label probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
+    EmptyDatasetError,
     InconsistentBranchError,
+    IngestionError,
     InvalidParameterError,
     SelectionError,
 )
-from .tree import UncertainTree, LeafNode, classify, iter_leaves, route
+from .tree import UncertainTree, LeafNode, classify_batch, route
 from .uncertain import Dataset, LabelCriteria, UncertainTuple, dataset_mass
 
 __all__ = [
@@ -182,24 +187,22 @@ def branch_to_rule(
 
 def _leaf_ctt(tree: UncertainTree, d_origin: Dataset, targets) -> dict:
     """CTT of every leaf whose dominant label is in ``targets``, keyed by
-    ``id(leaf)`` (trees never share a leaf object between branches).  Each
-    sample labelled with a target is routed once, and each leaf sums its
-    arriving masses in ``d_origin`` order."""
-    dominant = {id(leaf): leaf.dominant for leaf in iter_leaves(tree) if leaf.dominant in targets}
-    reached = dict.fromkeys(dominant, 0.0)
-    for t in d_origin.tuples:
-        if t.label in targets:
-            for leaf, mass in route(tree, t):
-                if dominant.get(id(leaf)) == t.label:
-                    reached[id(leaf)] += mass
+    ``id(leaf)``: the samples labelled with a target are routed in one batch,
+    and each leaf adds up the arriving masses of those labelled with its
+    dominant label in ``d_origin`` order (``cumsum`` adds in row order)."""
     total = dataset_mass(d_origin)
-    return {key: mass / total for key, mass in reached.items()}
+    if total <= 0.0:
+        raise EmptyDatasetError("CTT undefined on a zero-mass dataset")
+    routed = [t for t in d_origin.tuples if t.label in targets]
+    labels = np.array([t.label for t in routed], dtype=object)
+    hits = ((leaf, mass[labels[pos] == leaf.dominant]) for leaf, pos, mass in route(tree, routed))
+    return {id(leaf): float(hit.cumsum()[-1]) / total for leaf, hit in hits if len(hit)}
 
 
 def branch_ctt(tree: UncertainTree, branch: Branch, d_origin: Dataset) -> float:
     """Training mass of target-labelled samples reaching this leaf, relative
     to the whole training dataset."""
-    return _leaf_ctt(tree, d_origin, {branch.dominant})[id(branch.leaf)]
+    return _leaf_ctt(tree, d_origin, {branch.dominant}).get(id(branch.leaf), 0.0)
 
 
 def score_branches(
@@ -211,7 +214,7 @@ def score_branches(
         b for b in enumerate_branches(tree) if target_label is None or b.dominant == target_label
     ]
     ctt = _leaf_ctt(tree, d_origin, {b.dominant for b in branches})
-    return [BranchScore(b, b.lp[b.dominant], ctt[id(b.leaf)]) for b in branches]
+    return [BranchScore(b, b.lp[b.dominant], ctt.get(id(b.leaf), 0.0)) for b in branches]
 
 
 def select_branch(scores: Sequence[BranchScore], target_label: str, lp_threshold: float):
@@ -245,13 +248,19 @@ def screen_designs(
     Ties are broken by ascending design id; the returned records carry the
     full label-probability vectors.
     """
+    if target_label not in tree.label_set:
+        raise InvalidParameterError(
+            f"target label {target_label!r} is not one of the tree's labels {list(tree.label_set)}"
+        )
     if top_k > len(designs):
         raise InvalidParameterError(f"top_k={top_k} exceeds {len(designs)} designs")
-    ranked = sorted(
-        ((t.id, classify(tree, t)) for t in designs),
-        key=lambda pair: (-pair[1][target_label], pair[0]),
-    )
-    return [ScreenedDesign(i, lp, rank) for rank, (i, lp) in enumerate(ranked[:top_k], start=1)]
+    lp = classify_batch(tree, designs)
+    target = lp[:, tree.label_set.index(target_label)].tolist()
+    order = sorted(range(len(designs)), key=lambda i: (-target[i], designs[i].id))
+    return [
+        ScreenedDesign(designs[i].id, dict(zip(tree.label_set, lp[i].tolist())), rank)
+        for rank, i in enumerate(order[:top_k], start=1)
+    ]
 
 
 def rules_payload(
@@ -294,13 +303,52 @@ def rules_payload(
     }
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def rule_from_payload(payload: dict, branch_id: Optional[str] = None) -> Rule:
-    """Rebuild the (selected) rule box from a rules JSON payload."""
+    """Rebuild the (selected) rule box from a rules JSON payload.
+
+    A payload without ``target``, a ``branches`` list or ``selected``, a
+    ``selected`` id that no branch has, or a chosen branch without ``acc``,
+    ``ctt`` and a box of ordered ``[lo, hi]`` finite numbers raises
+    ``IngestionError`` naming the branch.  A requested ``branch_id`` that no
+    branch has raises ``InvalidParameterError``.
+    """
+    keys = ("target", "branches") + (() if branch_id else ("selected",))
+    missing = [key for key in keys if key not in payload] if isinstance(payload, dict) else keys
+    if missing:
+        raise IngestionError(f"rules payload has no {', '.join(map(repr, missing))}")
+    if not isinstance(payload["branches"], list):
+        raise IngestionError("rules payload: 'branches' is not a list")
     wanted = branch_id or payload["selected"]
-    for entry in payload["branches"]:
-        if entry["id"] == wanted:
-            names = tuple(entry["box"].keys())
-            lower = tuple(entry["box"][n][0] for n in names)
-            upper = tuple(entry["box"][n][1] for n in names)
-            return Rule(names, lower, upper, payload["target"], entry["acc"], entry["ctt"], wanted)
-    raise InvalidParameterError(f"branch {wanted!r} not present in rules payload")
+    entry = next(
+        (e for e in payload["branches"] if isinstance(e, dict) and e.get("id") == wanted), None
+    )
+    if entry is None:
+        if branch_id:
+            raise InvalidParameterError(f"branch {wanted!r} not present in rules payload")
+        raise IngestionError(f"selected branch {wanted!r} not present in rules payload")
+    box = entry.get("box")
+    if not isinstance(box, dict) or not box:
+        raise IngestionError(f"branch {wanted!r}: 'box' is not a non-empty object")
+    for name, iv in box.items():
+        if not (isinstance(iv, (list, tuple)) and len(iv) == 2 and all(map(_finite_number, iv))):
+            raise IngestionError(
+                f"branch {wanted!r}: box of {name!r} is {iv!r}, not [lo, hi] numbers"
+            )
+    try:
+        return Rule(
+            tuple(box),
+            tuple(lo for lo, _ in box.values()),
+            tuple(hi for _, hi in box.values()),
+            payload["target"],
+            entry["acc"],
+            entry["ctt"],
+            wanted,
+        )
+    except KeyError as exc:
+        raise IngestionError(f"branch {wanted!r} has no {exc}") from None
+    except InconsistentBranchError as exc:
+        raise IngestionError(f"branch {wanted!r}: {exc}") from None

@@ -25,13 +25,7 @@ from .errors import (
     SchemaError,
     TreeConstructionError,
 )
-from .uncertain import (
-    Dataset,
-    UncertainTuple,
-    dataset_mass,
-    label_masses,
-    partition_tuple,
-)
+from .uncertain import Dataset, UncertainTuple, dataset_mass, label_masses
 
 __all__ = [
     "TreeConfig",
@@ -48,6 +42,7 @@ __all__ = [
     "build_tree",
     "route",
     "classify",
+    "classify_batch",
     "predicted_label",
     "dominant_label",
     "training_accuracy",
@@ -180,32 +175,34 @@ _LO, _HI, _MASS, _MEAN, _SIGMA, _NORM, _CDF_LO, _CDF_HI = range(8)
 
 class _Rows:
     """One node's dataset as arrays: ``table`` is (n rows, k attributes,
-    fields), one row per tuple fragment; ``tp`` holds the tuple masses and
-    ``label`` the index of each row's label in the label set.
+    fields), one row per tuple fragment; ``tp`` holds the tuple masses, ``label``
+    the index of each row's label in the label set and ``pos`` its input index.
 
-    Rows are grouped by label, each group in dataset order, and
+    Rows are grouped by label, each group in input order, and
     ``bounds[j]:bounds[j + 1]`` is label j's group: every sum the tree takes
     is per label in row order, so the grouping changes no result.  The
     active box of a continuous marginal lies inside the marginal's interval,
     as ``fresh_tuple`` and ``partition_tuple`` keep it.
     """
 
-    __slots__ = ("table", "tp", "label", "bounds")
+    __slots__ = ("table", "tp", "label", "bounds", "pos")
 
-    def __init__(self, table, tp, label, n_labels: int):
-        self.table, self.tp, self.label = table, tp, label
+    def __init__(self, table, tp, label, n_labels: int, pos):
+        self.table, self.tp, self.label, self.pos = table, tp, label, pos
         self.bounds = np.searchsorted(label, np.arange(n_labels + 1)).tolist()
 
-    def take(self, keep) -> "_Rows":
-        """The rows where ``keep`` is true, as a new node."""
-        return _Rows(self.table[keep], self.tp[keep], self.label[keep], len(self.bounds) - 1)
 
-
-def _node_rows(dataset: Dataset) -> _Rows:
-    index = {label: j for j, label in enumerate(dataset.label_set)}
-    tuples = sorted(dataset.tuples, key=lambda t: index[t.label])
-    table = np.zeros((len(tuples), len(dataset.attribute_names), 8))
+def _node_rows(tuples, k: int, label_set=()) -> _Rows:
+    """Rows of ``tuples`` with ``k`` attributes, grouped by label in
+    ``label_set`` order; without a label set, labels are not read."""
+    index = {label: j for j, label in enumerate(label_set)}
+    label = np.array([index[t.label] if index else 0 for t in tuples], dtype=np.intp)
+    pos = np.argsort(label, kind="stable")
+    tuples = [tuples[i] for i in pos.tolist()]
+    table = np.zeros((len(tuples), k, 8))
     for row, t in zip(table, tuples):
+        if len(t.marginals) != k:
+            raise SchemaError(f"tuple {t.id!r} has {len(t.marginals)} attributes, tree expects {k}")
         row[:, _LO:_HI + 1] = t.active_box
         row[:, _MASS] = t.box_mass
         row[:, _MEAN:_NORM + 1] = [(m.mean, m.sigma, m.normalizer) for m in t.marginals]
@@ -213,12 +210,8 @@ def _node_rows(dataset: Dataset) -> _Rows:
     for bound, cdf in ((_LO, _CDF_LO), (_HI, _CDF_HI)):
         x = table[..., bound][cont]
         table[..., cdf][cont] = _normal_cdf(x, table[..., _MEAN][cont], table[..., _SIGMA][cont])
-    return _Rows(
-        table,
-        np.array([t.tp for t in tuples], dtype=float),
-        np.array([index[t.label] for t in tuples], dtype=np.intp),
-        len(dataset.label_set),
-    )
+    tp = np.array([t.tp for t in tuples], dtype=float)
+    return _Rows(table, tp, label[pos], max(len(index), 1), pos)
 
 
 def _cut(rows: _Rows, attr: int, values):
@@ -238,18 +231,20 @@ def _cut(rows: _Rows, attr: int, values):
     point = sigma == 0.0
     s = np.asarray(values, dtype=float)[None, :]
     sc = np.minimum(np.maximum(s, a), b)
-    cdf = np.where(sc >= b, cdf_b, cdf_a)
-    inside = (sc > a) & (sc < b) & ~point
+    above_a, below_b = sc > a, sc < b
+    cdf = np.where(below_b, cdf_a, cdf_b)
+    inside = above_a & below_b & ~point
     if inside.any():
         r = np.nonzero(inside)[0]
         cdf[inside] = _normal_cdf(sc[inside], mean[r, 0], sigma[r, 0])
     norm = col[:, _NORM]
-    left = np.where(sc > a, norm * (cdf - cdf_a), 0.0)
-    right = np.where(b > sc, norm * (cdf_b - cdf), 0.0)
-    mass = col[:, _MASS]
-    goes_left = s >= mean
-    left = np.where(point, np.where(goes_left, mass, 0.0), left)
-    right = np.where(point, np.where(goes_left, 0.0, mass), right)
+    left = np.where(above_a, norm * (cdf - cdf_a), 0.0)
+    right = np.where(below_b, norm * (cdf_b - cdf), 0.0)
+    if point.any():  # a point's box is the point itself, so both sides above are 0 there
+        mass = col[:, _MASS]
+        goes_left = s >= mean
+        left = np.where(point & goes_left, mass, left)
+        right = np.where(point & ~goes_left, mass, right)
     return left, right, sc, cdf
 
 
@@ -303,19 +298,21 @@ def _split_stats(rows: _Rows, attr: int, values, min_mass: float) -> list:
 
 def _partition(rows: _Rows, attr: int, value: float):
     """The (left, right) child nodes of a split: rows of positive fragment
-    mass, with the cut attribute's box mass, box bound and CDF updated."""
+    mass, with the cut attribute's box mass, box bound and CDF updated (a
+    point's box is its point, and its CDF 0, so they stay as they were)."""
     left, right, sc, cdf = _cut(rows, attr, [value])
+    cut = np.concatenate((left, right), axis=1)
+    tp = _fragment_tp(rows, attr, cut)
     children = []
-    for cut, bound, cdf_bound in ((left, _HI, _CDF_HI), (right, _LO, _CDF_LO)):
-        tp = _fragment_tp(rows, attr, cut)[:, 0]
-        keep = tp > 0.0
-        child = rows.take(keep)
-        child.tp = tp[keep]
+    for side, bound, cdf_bound in ((0, _HI, _CDF_HI), (1, _LO, _CDF_LO)):
+        keep = (tp[:, side] > 0.0).nonzero()[0]
+        child = _Rows(
+            rows.table[keep], tp[keep, side], rows.label[keep], len(rows.bounds) - 1, rows.pos[keep]
+        )
         col = child.table[:, attr]
-        col[:, _MASS] = cut[keep, 0]
-        cont = col[:, _SIGMA] != 0.0
-        col[cont, bound] = sc[keep, 0][cont]
-        col[cont, cdf_bound] = cdf[keep, 0][cont]
+        col[:, _MASS] = cut[keep, side]
+        col[:, bound] = sc[keep, 0]
+        col[:, cdf_bound] = cdf[keep, 0]
         children.append(child)
     return children
 
@@ -332,7 +329,8 @@ def _split_info_of(lt: float, rt: float) -> float:
 
 
 def _side_stats(dataset: Dataset, s: SplitCandidate, min_mass: float):
-    stats = _split_stats(_node_rows(dataset), s.attr, [s.value], min_mass)[0]
+    rows = _node_rows(dataset.tuples, len(dataset.attribute_names), dataset.label_set)
+    stats = _split_stats(rows, s.attr, [s.value], min_mass)[0]
     if stats is None:
         raise InvalidSplitError(
             f"split at attr {s.attr} value {s.value} leaves an empty partition"
@@ -439,7 +437,7 @@ def best_split(
 ) -> Optional[SplitCandidate]:
     """Admissible candidate with the largest gain ratio (None when there is
     no admissible candidate)."""
-    rows = _node_rows(dataset)
+    rows = _node_rows(dataset.tuples, len(dataset.attribute_names), dataset.label_set)
     cand, _ = _best_split_scored(rows, _masses(rows), candidates, min_mass)
     return cand
 
@@ -472,7 +470,7 @@ def build_tree(dataset: Dataset, config: TreeConfig) -> UncertainTree:
         raise TreeConstructionError("training dataset has zero mass")
 
     plan = []
-    stack = [(_node_rows(dataset), 0, None)]
+    stack = [(_node_rows(dataset.tuples, len(dataset.attribute_names), dataset.label_set), 0, None)]
     while stack:
         rows, depth, slot = stack.pop()
         if slot is not None:
@@ -502,40 +500,45 @@ def _link(plan: list) -> Node:
     return nodes[0]
 
 
-def route(tree: UncertainTree, t: UncertainTuple) -> list:
-    """(leaf, arriving mass) pairs for one sample: its mass is split at every
-    internal node, and each leaf it reaches with positive mass is listed once,
-    depth first with the right subtree before the left."""
+#: Samples ``classify_batch`` routes at once, so a large batch's tables stay bounded.
+ROUTE_BLOCK = 2048
+
+
+def route(tree: UncertainTree, tuples: Sequence[UncertainTuple]) -> list:
+    """``(leaf, positions, masses)`` for each leaf the batch reaches with
+    positive mass, right subtree first: the ascending indices into ``tuples``
+    of the samples that reach it and their arriving masses.  Labels are not read."""
+    rows = _node_rows(tuples, len(tree.attribute_names))
     reached = []
-    stack = [(tree.root, t)]
+    stack = [(tree.root, rows)] if len(rows.tp) else []
     while stack:
-        node, frag = stack.pop()
+        node, rows = stack.pop()
         if isinstance(node, LeafNode):
-            reached.append((node, frag.tp))
+            reached.append((node, rows.pos, rows.tp))
         else:
-            frag_l, frag_r = partition_tuple(frag, node.attr, node.threshold)
-            if frag_l.tp > 0.0:
-                stack.append((node.left, frag_l))
-            if frag_r.tp > 0.0:
-                stack.append((node.right, frag_r))
+            left, right = _partition(rows, node.attr, node.threshold)
+            stack.extend((c, p) for c, p in ((node.left, left), (node.right, right)) if len(p.tp))
     return reached
 
 
-def classify(tree: UncertainTree, t: UncertainTuple) -> dict:
-    """Label-probability vector for one sample: the leaf distributions it
-    is routed to, averaged with the arriving masses as weights."""
-    if len(t.marginals) != len(tree.attribute_names):
-        raise SchemaError(
-            f"tuple has {len(t.marginals)} attributes, tree expects "
-            f"{len(tree.attribute_names)}"
-        )
-    if t.tp <= 0.0:
+def classify_batch(tree: UncertainTree, tuples: Sequence[UncertainTuple]) -> np.ndarray:
+    """(samples x ``tree.label_set``) label probabilities: the reached leaves'
+    distributions weighted by arriving mass, added leaf by leaf in ``route`` order."""
+    if any(t.tp <= 0.0 for t in tuples):
         raise InvalidParameterError("cannot classify a zero-mass tuple")
-    acc = {label: 0.0 for label in tree.label_set}
-    for leaf, mass in route(tree, t):
-        for label, p in leaf.lp.items():
-            acc[label] += mass * p
-    return {label: v / t.tp for label, v in acc.items()}
+    lp = np.zeros((len(tuples), len(tree.label_set)))
+    for start in range(0, len(tuples), ROUTE_BLOCK):
+        block = tuples[start:start + ROUTE_BLOCK]
+        acc = lp[start:start + len(block)]
+        for leaf, pos, mass in route(tree, block):
+            acc[pos] += mass[:, None] * [leaf.lp[label] for label in tree.label_set]
+        acc /= np.array([t.tp for t in block])[:, None]
+    return lp
+
+
+def classify(tree: UncertainTree, t: UncertainTuple) -> dict:
+    """Label-probability vector for one sample (``classify_batch`` of one)."""
+    return dict(zip(tree.label_set, classify_batch(tree, [t])[0].tolist()))
 
 
 def iter_leaves(tree: UncertainTree):
@@ -578,10 +581,9 @@ def test_accuracy(tree: UncertainTree, dataset: Dataset) -> float:
     actual label."""
     if not dataset.tuples:
         raise EmptyDatasetError("test accuracy undefined on an empty dataset")
-    correct = sum(
-        1 for t in dataset.tuples if predicted_label(classify(tree, t)) == t.label
-    )
-    return correct / len(dataset.tuples)
+    lp = classify_batch(tree, dataset.tuples).tolist()
+    predicted = [predicted_label(dict(zip(tree.label_set, row))) for row in lp]
+    return sum(1 for t, label in zip(dataset.tuples, predicted) if label == t.label) / len(lp)
 
 
 def k_fold_cv(dataset: Dataset, k: int, config: TreeConfig):
@@ -711,7 +713,10 @@ def save_tree(tree: UncertainTree, path) -> None:
 
 def load_tree(path) -> UncertainTree:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise IngestionError(f"{path}: JSON nested too deeply to load") from None
     try:
         return tree_from_dict(data)
     except IngestionError as exc:

@@ -1,14 +1,15 @@
 """Independent reference implementations used to check the library.
 
-Everything here except the CTT path walk and the scalar tree builder works on
-exact points and plain counts, deliberately sharing no code with the package:
-a certain-data gain-ratio tree (same candidate grid and tie-break rules),
-Monte Carlo routing of sampled exact points through a trained tree, and
-truncated-Gaussian samplers.  The CTT path walk cuts samples with the
-package's ``partition_tuple``; it checks the routing that scores branches,
-not the partition itself.  The scalar tree builder grows an uncertain tree
-tuple by tuple with ``partition_tuple``: it is the definition the array core
-of ``designmine.tree`` must reproduce bit for bit.
+Everything here except the CTT path walk, the scalar router and the scalar
+tree builder works on exact points and plain counts, deliberately sharing no
+code with the package: a certain-data gain-ratio tree (same candidate grid and
+tie-break rules), Monte Carlo routing of sampled exact points through a
+trained tree, and truncated-Gaussian samplers.  The CTT path walk cuts samples
+with the package's ``partition_tuple``; it checks the routing that scores
+branches, not the partition itself.  The scalar tree builder and the scalar
+router grow a tree and route a sample tuple by tuple with ``partition_tuple``:
+they are the definitions the array core of ``designmine.tree`` must reproduce
+bit for bit.
 """
 
 import math
@@ -214,6 +215,39 @@ def oracle_build(dataset, config):
         )
 
     return UncertainTree(dataset.attribute_names, dataset.label_set, grow(dataset, 0), config)
+
+
+# --- scalar router ------------------------------------------------------------
+
+
+def oracle_route(tree, t):
+    """(leaf, arriving mass) pairs for one sample: its mass is cut at every
+    split node with ``partition_tuple``, and each leaf it reaches with
+    positive mass is listed once, depth first with the right subtree before
+    the left."""
+    reached = []
+    stack = [(tree.root, t)]
+    while stack:
+        node, frag = stack.pop()
+        if isinstance(node, LeafNode):
+            reached.append((node, frag.tp))
+        else:
+            frag_l, frag_r = partition_tuple(frag, node.attr, node.threshold)
+            if frag_l.tp > 0.0:
+                stack.append((node.left, frag_l))
+            if frag_r.tp > 0.0:
+                stack.append((node.right, frag_r))
+    return reached
+
+
+def oracle_classify(tree, t):
+    """The leaf distributions ``oracle_route`` reaches, weighted by the
+    arriving masses and summed leaf by leaf, over the sample's mass."""
+    acc = {label: 0.0 for label in tree.label_set}
+    for leaf, mass in oracle_route(tree, t):
+        for label, p in leaf.lp.items():
+            acc[label] += mass * p
+    return {label: v / t.tp for label, v in acc.items()}
 
 
 # --- Monte Carlo classification ----------------------------------------------

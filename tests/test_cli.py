@@ -96,6 +96,17 @@ def test_rules_impossible_threshold_exits_4(dataset_csv, tmp_path):
                "--out", str(tmp_path / "r.json")) == 4
 
 
+def test_rules_empty_dataset_exits_3(dataset_csv, tmp_path, capsys):
+    tree = trained_tree(dataset_csv, tmp_path)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("t,u,label\n", encoding="utf-8")
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text(json.dumps({"t": [1.0, 3.0], "u": [0.0, 10.0]}), encoding="utf-8")
+    assert run("rules", "--tree", str(tree), "--data", str(empty), "--bounds", str(bounds),
+               "--out", str(tmp_path / "r.json")) == 3
+    assert capsys.readouterr().err.startswith("error[EmptyDatasetError]")
+
+
 def test_rules_with_bounds_file(dataset_csv, tmp_path):
     tree = trained_tree(dataset_csv, tmp_path)
     bounds = tmp_path / "bounds.json"
@@ -143,6 +154,45 @@ def test_sample_from_bounds_deterministic(tmp_path):
     assert sha256_of(out1) == "bcf648efa5670da9fd84983f8f659e153c1c3a0a1bf616694aaacd64f12e4a10"
 
 
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda p: p.pop("selected"), "'selected'"),
+        (lambda p: p.update(selected="b99"), "'b99'"),
+        (lambda p: p["branches"][0].update(box={"t": [1.0, "x"], "u": [0.0, 1.0]}), "box of 't'"),
+        (lambda p: p["branches"][0].update(box={"t": [2.0, 1.0], "u": [0.0, 1.0]}), "empty interval"),
+        (lambda p: p["branches"][0].update(box=[1.0, 2.0]), "'box'"),
+    ],
+    ids=["no-selected", "unknown-selected", "non-number", "reversed", "box-not-object"],
+)
+def test_sample_malformed_rules_exits_2(tmp_path, capsys, edit, where):
+    payload = {
+        "target": "g",
+        "theta": 0.8,
+        "branches": [{"id": "b1", "acc": 0.9, "ctt": 0.3, "mass": 5.0,
+                      "box": {"t": [1.0, 2.0], "u": [4.0, 10.0]}}],
+        "selected": "b1",
+    }
+    edit(payload)
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(payload), encoding="utf-8")
+    assert run("sample", "--rules", str(rules), "--out", str(tmp_path / "s.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[IngestionError]: {rules}: ") and err.count("\n") == 1
+    assert where in err
+
+
+def test_sample_unknown_branch_exits_2(dataset_csv, tmp_path, capsys):
+    tree = trained_tree(dataset_csv, tmp_path)
+    rules = tmp_path / "rules.json"
+    run("rules", "--tree", str(tree), "--data", str(dataset_csv),
+        "--uncertainty", "0.05", "--min-lp", "0.8", "--out", str(rules))
+    assert run("sample", "--rules", str(rules), "--branch", "b999",
+               "--out", str(tmp_path / "s.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[InvalidParameterError]: {rules}: ") and "'b999'" in err
+
+
 def test_sample_requires_box_source(tmp_path):
     assert run("sample", "--n", "5", "--out", str(tmp_path / "s.csv")) == 2
 
@@ -177,6 +227,17 @@ def test_screen_and_classify(dataset_csv, tmp_path):
     for line in clines[1:]:
         parts = line.split(",")
         assert abs(sum(float(v) for v in parts[1:]) - 1.0) < 1e-9
+    assert sha256_of(screened) == "07a47991f9695bfce147dba9bb1ffe0fac954d974ad82a89e79adaa44c23dddd"
+    assert sha256_of(lp_out) == "0626e9216590402efd427654b05c267b529c28f6a11a13313cda7d2ebd675d1d"
+
+
+def test_screen_unknown_label_exits_2(dataset_csv, tmp_path, capsys):
+    tree = trained_tree(dataset_csv, tmp_path)
+    assert run("screen", "--tree", str(tree), "--designs", str(dataset_csv), "--label", "X",
+               "--top", "3", "--out", str(tmp_path / "s.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidParameterError]") and "'X'" in err
+    assert "['g', 'm', 'p']" in err
 
 
 def test_screen_schema_mismatch_exits_2(dataset_csv, tmp_path):
@@ -210,6 +271,19 @@ def test_classify_tree_attr_out_of_range_exits_2(dataset_csv, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error[IngestionError]") and "root.left: attribute index 9" in err
+
+
+def test_classify_deeply_nested_tree_exits_2(dataset_csv, tmp_path, capsys):
+    leaf = json.dumps({"kind": "leaf", "lp": {"g": 1.0, "m": 0.0, "p": 0.0}, "mass": 1.0})
+    split = '{"kind": "split", "attr": 0, "threshold": 2.0, "left": '
+    root = split * 1500 + leaf + (', "right": ' + leaf + "}") * 1500
+    tree = tmp_path / "deep.json"
+    tree.write_text('{"attributes": ["t", "u"], "labels": ["g", "m", "p"], "root": ' + root + "}",
+                    encoding="utf-8")
+    assert run("classify", "--tree", str(tree), "--data", str(dataset_csv),
+               "--out", str(tmp_path / "lp.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[IngestionError]: {tree}: ") and err.count("\n") == 1
 
 
 # --- metrics -----------------------------------------------------------------------

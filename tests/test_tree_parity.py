@@ -1,25 +1,33 @@
-"""The array core of ``designmine.tree`` against the scalar reference builder.
+"""The array core of ``designmine.tree`` against the scalar references.
 
 Trees, best splits and gain ratios must equal, bit for bit, what growing the
-tree tuple by tuple with ``partition_tuple`` gives (``_oracles.oracle_build``).
+tree tuple by tuple with ``partition_tuple`` gives (``_oracles.oracle_build``),
+and routing and classifying a batch must equal routing each sample alone
+(``_oracles.oracle_route``).
 """
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from designmine.cli import bundled_surrogate_text
+from designmine.doe import SamplingPlan, lhs
 from designmine.pipeline import run_component
 from designmine.surrogate import load_surrogate
 from designmine.tree import (
+    ROUTE_BLOCK,
     SplitCandidate,
     TreeConfig,
     best_split,
     build_tree,
+    classify,
+    classify_batch,
     gain_ratio,
     gen_split_candidates,
     iter_leaves,
+    route,
     tree_to_dict,
 )
 from designmine.uncertain import (
@@ -34,7 +42,9 @@ from _oracles import (
     oracle_best_split_scored,
     oracle_build,
     oracle_candidates,
+    oracle_classify,
     oracle_gain_ratio,
+    oracle_route,
 )
 
 PARITY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -112,3 +122,64 @@ def test_seed7_demo_component_equals_scalar_reference():
     result = run_component(comp, seed=7 * 1000)
     oracle = oracle_build(result.dataset, result.tree.config)
     assert tree_to_dict(result.tree) == tree_to_dict(oracle)
+
+
+@st.composite
+def designs(draw, k, label_set):
+    """A sample to route: point and interval marginals, the intervals wide
+    enough to straddle thresholds, a label inside or outside the tree's label
+    set, and sometimes cut once first, so its box is narrowed and its mass
+    below 1."""
+    marginals = [make_marginal(draw(MEANS), draw(st.sampled_from([0.0, 0.3, 0.6]))) for _ in range(k)]
+    t = fresh_tuple(draw(st.integers(1, 99)), marginals, draw(st.sampled_from(label_set + ("z",))))
+    attr = draw(st.integers(0, k - 1))
+    m = marginals[attr]
+    if draw(st.booleans()) and not m.is_point:
+        frags = partition_tuple(t, attr, draw(st.floats(m.lower, m.upper)))
+        t = draw(st.sampled_from([f for f in frags if f.tp > 0.0]))
+    return t
+
+
+# Batch sizes on both sides of the block ``classify_batch`` routes at once.
+BATCH_SIZES = st.one_of(
+    st.integers(1, 9),
+    st.sampled_from([ROUTE_BLOCK - 1, ROUTE_BLOCK, ROUTE_BLOCK + 1, 2 * ROUTE_BLOCK + 3]),
+)
+
+
+@PARITY
+@given(datasets(), CONFIGS, st.data())
+def test_route_and_classify_equal_scalar_reference(ds, config, data):
+    """A batch of samples, the same few repeated, routed and classified at
+    once equals each sample routed and classified alone; its arriving masses
+    add up to its mass and its label probabilities to 1."""
+    tree = build_tree(ds, config)
+    pool = data.draw(st.lists(designs(len(ds.attribute_names), ds.label_set), min_size=1, max_size=6))
+    batch = [pool[i % len(pool)] for i in range(data.draw(BATCH_SIZES))]
+    expected = [[(id(leaf), m) for leaf, m in oracle_route(tree, t)] for t in pool]
+    expected_lp = [oracle_classify(tree, t) for t in pool]
+
+    reached = [[] for _ in batch]
+    for leaf, pos, mass in route(tree, batch):
+        assert len(pos) and (np.diff(pos) > 0).all()
+        for i, m in zip(pos.tolist(), mass.tolist()):
+            reached[i].append((id(leaf), m))
+    for i, row in enumerate(reached):
+        assert row == expected[i % len(pool)]
+        assert sum(m for _, m in row) == pytest.approx(batch[i].tp, rel=1e-12)
+
+    for i, row in enumerate(classify_batch(tree, batch).tolist()):
+        assert dict(zip(tree.label_set, row)) == expected_lp[i % len(pool)]
+        assert sum(row) == pytest.approx(1.0, rel=1e-12)
+    assert [classify(tree, t) for t in pool] == expected_lp
+
+
+def test_seed7_demo_component_classifies_like_scalar_reference():
+    """Candidates of the seed-7 demo's first component, more than one block
+    of them, classified in one batch and one at a time."""
+    comp = load_surrogate(json.loads(bundled_surrogate_text())).components[0]
+    tree = run_component(comp, seed=7 * 1000).tree
+    rows = lhs(SamplingPlan(tuple(comp.bounds()), ROUTE_BLOCK + 300, 7))
+    batch = [fresh_tuple(i, [make_marginal(v, 0.1) for v in row], "g") for i, row in enumerate(rows)]
+    lp = classify_batch(tree, batch).tolist()
+    assert [dict(zip(tree.label_set, row)) for row in lp] == [oracle_classify(tree, t) for t in batch]
