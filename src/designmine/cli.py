@@ -39,7 +39,7 @@ from .errors import (
 from .metrics import avgstiff, load_curve, load_histories, peak_force, peak_intrusion, sea, total_mass
 from .morph import ControlPointSet, apply_morph, fit_morph, load_points, save_points
 from .pipeline import run_demo
-from .rules import rule_from_payload, rules_payload, screen_designs
+from .rules import _finite_number, rule_from_payload, rules_payload, screen_designs
 from .surrogate import load_surrogate
 from .tree import (
     TreeConfig,
@@ -127,13 +127,24 @@ def _dataset_csv(names, rows, labels) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_bounds_file(path, attribute_names):
+def _load_bounds_file(path, attribute_names=None):
+    """(names, bounds) from a JSON object of ``name: [lo, hi]`` pairs: every
+    entry in file order, or only ``attribute_names`` in that order.  Anything
+    else raises ``IngestionError`` naming the file and the attribute."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    try:
-        return [(float(data[name][0]), float(data[name][1])) for name in attribute_names]
-    except KeyError as exc:
-        raise IngestionError(f"{path}: missing bounds for attribute {exc}") from exc
+    if not isinstance(data, dict):
+        raise IngestionError(f"{path}: bounds must be a JSON object of [lo, hi] pairs")
+    names = list(data) if attribute_names is None else list(attribute_names)
+    for name in names:
+        if name not in data:
+            raise IngestionError(f"{path}: missing bounds for attribute {name!r}")
+        pair = data[name]
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_finite_number, pair))):
+            raise IngestionError(
+                f"{path}: bounds of {name!r} are {pair!r}, not a [lo, hi] pair of finite numbers"
+            )
+    return names, [(float(data[name][0]), float(data[name][1])) for name in names]
 
 
 def _data_extent_bounds(dataset):
@@ -186,7 +197,7 @@ def cmd_rules(args) -> int:
         raise SchemaError("dataset attributes do not match the tree")
     if args.bounds:
         run.add_input(args.bounds)
-        bounds = _load_bounds_file(args.bounds, tree.attribute_names)
+        _, bounds = _load_bounds_file(args.bounds, tree.attribute_names)
     else:
         bounds = _data_extent_bounds(dataset)
     payload = rules_payload(tree, dataset, bounds, args.label, args.min_lp)
@@ -214,10 +225,7 @@ def cmd_sample(args) -> int:
         bounds = list(zip(rule.lower, rule.upper))
     elif args.bounds:
         run.add_input(args.bounds)
-        with open(args.bounds, encoding="utf-8") as fh:
-            data = json.load(fh)
-        names = list(data.keys())
-        bounds = [(float(v[0]), float(v[1])) for v in data.values()]
+        names, bounds = _load_bounds_file(args.bounds)
     else:
         raise InvalidParameterError("provide --rules or --bounds to define the box")
     samples = lhs(SamplingPlan(tuple(bounds), args.n, args.seed))

@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve
-from scipy.spatial.distance import cdist, pdist
 
 from .atomic import atomic_open
 from .errors import ConditioningError, IngestionError, InvalidParameterError
@@ -80,7 +78,13 @@ class MorphMap:
     condition: float
 
 
+# scipy is imported inside the functions that use it, so importing designmine
+# (and every command but ``morph``) does not pay for loading it.
+
+
 def _system_matrix(original: np.ndarray, regularization: float):
+    from scipy.spatial.distance import cdist
+
     n = original.shape[0]
     a = tps_kernel(cdist(original, original))
     if regularization:
@@ -101,6 +105,9 @@ def fit_morph(cps: ControlPointSet, regularization: float = 0.0) -> MorphMap:
     or coplanar-degenerate control points; a small ``regularization`` added to
     the kernel block can rescue near-degenerate layouts.
     """
+    from scipy.linalg import solve
+    from scipy.spatial.distance import pdist
+
     original = cps.original
     n = original.shape[0]
     if pdist(original).min() == 0.0:
@@ -137,6 +144,8 @@ def apply_morph(morph: MorphMap, nodes) -> np.ndarray:
     Evaluated at the original control points this reproduces the displaced
     control points to solver tolerance.
     """
+    from scipy.spatial.distance import cdist
+
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if nodes.shape[1] != 3:
         raise InvalidParameterError("nodes must be an m-by-3 array")

@@ -138,16 +138,16 @@ class PipelineConfig:
 
 def enumerate_branches(tree: UncertainTree) -> list:
     """All branches in left-to-right leaf order, ids b1, b2, ..."""
-    branches = []
-
-    def walk(node, path):
+    branches, stack = [], [(tree.root, ())]
+    while stack:
+        node, path = stack.pop()
         if isinstance(node, LeafNode):
-            branches.append(Branch(f"b{len(branches) + 1}", tuple(path), node))
-            return
-        walk(node.left, path + [(node.attr, "<=", node.threshold)])
-        walk(node.right, path + [(node.attr, ">", node.threshold)])
-
-    walk(tree.root, [])
+            branches.append(Branch(f"b{len(branches) + 1}", path, node))
+        else:
+            stack += [
+                (node.right, path + ((node.attr, ">", node.threshold),)),
+                (node.left, path + ((node.attr, "<=", node.threshold),)),
+            ]
     return branches
 
 

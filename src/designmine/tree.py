@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -119,6 +120,10 @@ class UncertainTree:
     def classify(self, t: UncertainTuple) -> dict:
         return classify(self, t)
 
+    @cached_property
+    def _flat(self) -> "_Flat":
+        return _Flat(self)
+
 
 def dominant_label(lp: dict) -> str:
     """Label with the highest probability; ties go to the lexicographically
@@ -131,32 +136,56 @@ def predicted_label(lp: dict) -> str:
     return dominant_label(lp)
 
 
-def _entropy_of(masses, total: float) -> float:
-    h = 0.0
-    for m in masses:
-        if m > 0.0:
-            p = m / total
-            h -= p * math.log2(p)
+_log2 = np.frompyfunc(math.log2, 1, 1)
+
+
+def _plog2(p):
+    """``p * math.log2(p)``, elementwise."""
+    return p * np.asarray(_log2(p), dtype=float)
+
+
+def _total(masses):
+    """Sum over the last axis, added in order from 0.0 as Python's ``sum`` adds."""
+    total = np.zeros(np.shape(masses)[:-1])
+    for m in np.moveaxis(masses, -1, 0):
+        total = total + m
+    return total
+
+
+def _entropy_of(masses, total):
+    """Label entropy of label masses (last axis) over their total, in bits:
+    ``-p * log2(p)`` subtracted label by label from 0.0 where the mass is
+    positive, with ``math.log2``."""
+    masses = np.asarray(masses, dtype=float)
+    h = np.zeros(masses.shape[:-1])
+    total = np.broadcast_to(total, h.shape)
+    for m in np.moveaxis(masses, -1, 0):
+        pos = m > 0.0
+        h[pos] = h[pos] - _plog2(m[pos] / total[pos])
     return h
 
 
 def entropy(dataset: Dataset) -> float:
     """Label entropy of the dataset's mass distribution, in bits."""
-    masses = label_masses(dataset)
-    total = sum(masses.values())
+    masses = list(label_masses(dataset).values())
+    total = sum(masses)
     if total <= 0.0:
         raise EmptyDatasetError("entropy undefined on an empty dataset")
-    return _entropy_of(masses.values(), total)
+    return float(_entropy_of(masses, total))
 
 
 # --- the array core ------------------------------------------------------------
 #
-# Growing a tree and scoring splits work on a node's dataset held as arrays,
-# with the same floating-point operations, in the same order, as the tuple
-# definitions in ``uncertain``: ``math.erf`` for the normal CDF, tuple masses
-# multiplied in attribute order from 1.0, label masses added in row order and
-# ``math.log2`` in the gain ratio.  Trees therefore come out bit-identical to
-# growing them tuple by tuple with ``partition_tuple``.
+# Growing a tree, scoring splits and routing samples work on datasets held as
+# arrays, with the same floating-point operations, in the same order, as the
+# tuple definitions in ``uncertain``: ``math.erf`` for the normal CDF, tuple
+# masses multiplied in attribute order from 1.0, label masses added in row
+# order and ``math.log2`` in the gain ratio.  Trees therefore come out
+# bit-identical to growing them tuple by tuple with ``partition_tuple``.
+#
+# Both work one depth at a time: the rows of every node at a depth (the
+# frontier) sit in one table, each tagged with its node, and each step is one
+# numpy pass over the whole frontier.
 
 _SQRT2 = math.sqrt(2.0)
 _erf = np.frompyfunc(math.erf, 1, 1)
@@ -168,68 +197,74 @@ def _normal_cdf(x, mean, sigma):
     return 0.5 * (1.0 + _erf(z / _SQRT2).astype(float))
 
 
-# Fields of a node's (row, attribute) table: the active box, the box mass,
+# Fields of a row's (attribute, field) table: the active box, the box mass,
 # the marginal, and the normal CDF at the box bounds (0 for point marginals).
+# A cut writes a left child's upper bound (_HI, _CDF_HI) and a right child's
+# lower one (_HI - 1, _CDF_HI - 1).
 _LO, _HI, _MASS, _MEAN, _SIGMA, _NORM, _CDF_LO, _CDF_HI = range(8)
 
 
 class _Rows:
-    """One node's dataset as arrays: ``table`` is (n rows, k attributes,
-    fields), one row per tuple fragment; ``tp`` holds the tuple masses, ``label``
-    the index of each row's label in the label set and ``pos`` its input index.
+    """Tuple fragments as arrays: ``table`` is (n rows, k attributes, fields);
+    ``tp`` holds the fragment masses, ``label`` the index of each row's label
+    in the label set, ``pos`` its index in the input and ``seg`` the node it
+    sits at: a frontier node while growing, a tree node index while routing.
 
-    Rows are grouped by label, each group in input order, and
-    ``bounds[j]:bounds[j + 1]`` is label j's group: every sum the tree takes
-    is per label in row order, so the grouping changes no result.  The
-    active box of a continuous marginal lies inside the marginal's interval,
-    as ``fresh_tuple`` and ``partition_tuple`` keep it.
+    The rows of each node stay in input order, which is the order every sum
+    over them is taken in.  The active box of a continuous marginal lies
+    inside the marginal's interval, as ``fresh_tuple`` and ``partition_tuple``
+    keep it.
     """
 
-    __slots__ = ("table", "tp", "label", "bounds", "pos")
+    __slots__ = ("table", "tp", "label", "pos", "seg")
 
-    def __init__(self, table, tp, label, n_labels: int, pos):
-        self.table, self.tp, self.label, self.pos = table, tp, label, pos
-        self.bounds = np.searchsorted(label, np.arange(n_labels + 1)).tolist()
+    def __init__(self, table, tp, label, pos, seg):
+        self.table, self.tp, self.label, self.pos, self.seg = table, tp, label, pos, seg
+
+    def take(self, index) -> "_Rows":
+        return _Rows(
+            self.table[index], self.tp[index], self.label[index], self.pos[index], self.seg[index]
+        )
 
 
 def _node_rows(tuples, k: int, label_set=()) -> _Rows:
-    """Rows of ``tuples`` with ``k`` attributes, grouped by label in
-    ``label_set`` order; without a label set, labels are not read."""
+    """Rows of ``tuples`` with ``k`` attributes at node 0, labels indexed in
+    ``label_set``; without a label set, labels are not read."""
     index = {label: j for j, label in enumerate(label_set)}
     label = np.array([index[t.label] if index else 0 for t in tuples], dtype=np.intp)
-    pos = np.argsort(label, kind="stable")
-    tuples = [tuples[i] for i in pos.tolist()]
-    table = np.zeros((len(tuples), k, 8))
-    for row, t in zip(table, tuples):
+    for t in tuples:
         if len(t.marginals) != k:
             raise SchemaError(f"tuple {t.id!r} has {len(t.marginals)} attributes, tree expects {k}")
-        row[:, _LO:_HI + 1] = t.active_box
-        row[:, _MASS] = t.box_mass
-        row[:, _MEAN:_NORM + 1] = [(m.mean, m.sigma, m.normalizer) for m in t.marginals]
+    n = len(tuples)
+    table = np.zeros((n, k, 8))
+    table[..., _LO:_HI + 1] = np.reshape([t.active_box for t in tuples], (n, k, 2))
+    table[..., _MASS] = np.reshape([t.box_mass for t in tuples], (n, k))
+    for field, name in ((_MEAN, "mean"), (_SIGMA, "sigma"), (_NORM, "normalizer")):
+        table[..., field] = np.reshape([[getattr(m, name) for m in t.marginals] for t in tuples], (n, k))
     cont = table[..., _SIGMA] != 0.0
-    for bound, cdf in ((_LO, _CDF_LO), (_HI, _CDF_HI)):
-        x = table[..., bound][cont]
-        table[..., cdf][cont] = _normal_cdf(x, table[..., _MEAN][cont], table[..., _SIGMA][cont])
+    bounds = table[..., _LO:_HI + 1][cont]
+    table[..., _CDF_LO:_CDF_HI + 1][cont] = _normal_cdf(
+        bounds, table[..., _MEAN, None][cont], table[..., _SIGMA, None][cont]
+    )
     tp = np.array([t.tp for t in tuples], dtype=float)
-    return _Rows(table, tp, label[pos], max(len(index), 1), pos)
+    return _Rows(table, tp, label, np.arange(n), np.zeros(n, dtype=np.intp))
 
 
-def _cut(rows: _Rows, attr: int, values):
-    """Cut every row's active box on one attribute at each threshold.
+def _cut(col, s):
+    """Cut every row's active box on one attribute at thresholds ``s``.
 
-    Returns (n, C) arrays: the left and right box masses of the attribute,
-    the thresholds clipped to each box and the normal CDF there.  The CDF is
+    ``col`` is the attribute's (n, fields) table and ``s`` broadcasts to
+    (n, C).  Returns (n, C) arrays: the left and right box masses, the
+    thresholds clipped to each box and the normal CDF there.  The CDF is
     evaluated only where a threshold falls strictly inside a continuous box;
     at a bound it is the cached one.  Point marginals send their mass left
-    when ``mean <= threshold``.
+    when ``mean <= threshold``.  A NaN threshold cuts nothing: both sides
+    are 0.
     """
-    if not 0 <= attr < rows.table.shape[1]:
-        raise IndexError(f"attribute index {attr} out of range")
-    col = rows.table[:, attr, :, None]
+    col = col[..., None]
     a, b, mean, sigma = col[:, _LO], col[:, _HI], col[:, _MEAN], col[:, _SIGMA]
     cdf_a, cdf_b = col[:, _CDF_LO], col[:, _CDF_HI]
     point = sigma == 0.0
-    s = np.asarray(values, dtype=float)[None, :]
     sc = np.minimum(np.maximum(s, a), b)
     above_a, below_b = sc > a, sc < b
     cdf = np.where(below_b, cdf_a, cdf_b)
@@ -242,129 +277,140 @@ def _cut(rows: _Rows, attr: int, values):
     right = np.where(below_b, norm * (cdf_b - cdf), 0.0)
     if point.any():  # a point's box is the point itself, so both sides above are 0 there
         mass = col[:, _MASS]
-        goes_left = s >= mean
-        left = np.where(point & goes_left, mass, left)
-        right = np.where(point & ~goes_left, mass, right)
+        left = np.where(point & (s >= mean), mass, left)
+        right = np.where(point & (s < mean), mass, right)
     return left, right, sc, cdf
 
 
-def _fragment_tp(rows: _Rows, attr: int, cut):
-    """Tuple masses with attribute ``attr``'s box mass replaced by each column
-    of ``cut``: the product over attributes in attribute order from 1.0."""
-    mass = rows.table[..., _MASS]
-    prefix = np.ones(len(rows.tp))
-    for k in range(attr):
-        prefix = prefix * mass[:, k]
-    tp = prefix[:, None] * cut
-    for k in range(attr + 1, mass.shape[1]):
-        tp = tp * mass[:, k, None]
+def _fragment_tp(mass, attr, cut):
+    """Fragment masses: the product of each row's box masses ``mass`` (n, k),
+    in attribute order from 1.0, with attribute ``attr``'s (one index, or one
+    per row) replaced by each column of ``cut``."""
+    if np.ndim(attr):  # a cut attribute per row: write the cut into a copy of the masses
+        m = np.repeat(mass[..., None], cut.shape[1], axis=2)
+        m[np.arange(len(m)), attr] = cut
+        factors = [m[:, k] for k in range(m.shape[1])]
+    else:  # one cut attribute: the factors before it multiply as (n, 1) columns
+        factors = [cut if k == attr else mass[:, k, None] for k in range(mass.shape[1])]
+    tp = factors[0]
+    for factor in factors[1:]:
+        tp = tp * factor
     return tp
 
 
-def _label_sums(rows: _Rows, x):
-    """Per-label sums of the rows of ``x``, each in row order from 0.0:
-    one array of ``x.shape[1:]`` per label."""
-    out = []
-    for start, stop in zip(rows.bounds, rows.bounds[1:]):
-        if stop > start:
-            # + 0.0: a sum that starts from 0.0 never ends at -0.0
-            out.append(x[start:stop].cumsum(axis=0)[-1] + 0.0)
-        else:
-            out.append(np.zeros(x.shape[1:]))
-    return out
-
-
-def _masses(rows: _Rows) -> list:
-    """Label masses of the node, as floats in label-set order."""
-    return [float(m) for m in _label_sums(rows, rows.tp)]
-
-
-def _split_stats(rows: _Rows, attr: int, values, min_mass: float) -> list:
-    """Score thresholds on one attribute in one broadcast.
-
-    One entry per threshold: (left label masses, right label masses, left
-    mass, right mass), or None when a side is lighter than ``min_mass``.
-    """
-    left, right, _, _ = _cut(rows, attr, values)
-    shape = (len(rows.bounds) - 1, len(values))
-    lm = np.array(_label_sums(rows, _fragment_tp(rows, attr, left))).reshape(shape)
-    rm = np.array(_label_sums(rows, _fragment_tp(rows, attr, right))).reshape(shape)
-    stats = []
-    for lms, rms in zip(lm.T.tolist(), rm.T.tolist()):
-        lt, rt = sum(lms), sum(rms)
-        stats.append(None if lt < min_mass or rt < min_mass else (lms, rms, lt, rt))
-    return stats
-
-
-def _partition(rows: _Rows, attr: int, value: float):
-    """The (left, right) child nodes of a split: rows of positive fragment
-    mass, with the cut attribute's box mass, box bound and CDF updated (a
-    point's box is its point, and its CDF 0, so they stay as they were)."""
-    left, right, sc, cdf = _cut(rows, attr, [value])
+def _partition(rows: _Rows, attr, value):
+    """Cut each row at its own split, ``attr`` and ``value`` holding one per
+    row.  Returns ``(side, children)``: the fragments of positive mass
+    in row order, left (side 0) before right (side 1), with the cut
+    attribute's box mass, box bound and CDF updated (a point's box is its
+    point, and its CDF 0, so they stay as they were).  Children keep their
+    parent's ``seg``."""
+    at = np.arange(len(rows.tp)), attr
+    left, right, sc, cdf = _cut(rows.table[at], value[:, None])
     cut = np.concatenate((left, right), axis=1)
-    tp = _fragment_tp(rows, attr, cut)
-    children = []
-    for side, bound, cdf_bound in ((0, _HI, _CDF_HI), (1, _LO, _CDF_LO)):
-        keep = (tp[:, side] > 0.0).nonzero()[0]
-        child = _Rows(
-            rows.table[keep], tp[keep, side], rows.label[keep], len(rows.bounds) - 1, rows.pos[keep]
-        )
-        col = child.table[:, attr]
-        col[:, _MASS] = cut[keep, side]
-        col[:, bound] = sc[keep, 0]
-        col[:, cdf_bound] = cdf[keep, 0]
-        children.append(child)
-    return children
+    tp = _fragment_tp(rows.table[..., _MASS], attr, cut)
+    row, side = (tp > 0.0).nonzero()
+    children = rows.take(row)
+    children.tp = tp[row, side]
+    at = np.arange(len(row)), attr[row]
+    children.table[at + (_MASS,)] = cut[row, side]
+    children.table[at + (_HI - side,)] = sc[row, 0]
+    children.table[at + (_CDF_HI - side,)] = cdf[row, 0]
+    return side, children
 
 
-def _split_entropy_of(left, right, lt: float, rt: float) -> float:
+def _key_sums(key, n_keys: int, x):
+    """(n_keys, ...) sums of the rows of ``x`` per ``key``, each added in row
+    order from 0.0 (``bincount`` adds its weights one by one, in order)."""
+    width = math.prod(x.shape[1:])
+    flat = (key[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=x.ravel(), minlength=n_keys * width)
+    return sums.reshape((n_keys,) + x.shape[1:])
+
+
+def _label_masses(rows: _Rows, n_segs: int, n_labels: int):
+    """(nodes x labels) label masses of the frontier."""
+    key = rows.seg * n_labels + rows.label
+    return _key_sums(key, n_segs * n_labels, rows.tp).reshape(n_segs, n_labels)
+
+
+def _side_masses(rows: _Rows, n_segs: int, n_labels: int, attr: int, s):
+    """(nodes, C, labels) left and right label masses of cutting every row
+    on ``attr`` at its thresholds ``s`` (n, C)."""
+    left, right, _, _ = _cut(rows.table[:, attr], s)
+    tp = _fragment_tp(rows.table[..., _MASS], attr, np.concatenate((left, right), axis=1))
+    sums = _key_sums(rows.seg * n_labels + rows.label, n_segs * n_labels, tp)
+    both = sums.reshape(n_segs, n_labels, 2, s.shape[1])
+    return both[:, :, 0].transpose(0, 2, 1), both[:, :, 1].transpose(0, 2, 1)
+
+
+def _split_entropy_of(left, right, lt, rt):
     total = lt + rt
     return (lt / total) * _entropy_of(left, lt) + (rt / total) * _entropy_of(right, rt)
 
 
-def _split_info_of(lt: float, rt: float) -> float:
+def _split_info_of(lt, rt):
     total = lt + rt
-    wl, wr = lt / total, rt / total
-    return -(wl * math.log2(wl) + wr * math.log2(wr))
+    return -(_plog2(lt / total) + _plog2(rt / total))
 
 
-def _side_stats(dataset: Dataset, s: SplitCandidate, min_mass: float):
+def _gain_ratio_of(parent_h, left, right, lt, rt):
+    return (parent_h - _split_entropy_of(left, right, lt, rt)) / _split_info_of(lt, rt)
+
+
+def _gain_ratios(rows: _Rows, masses, values, valid, min_mass: float):
+    """(nodes, k, C) gain ratios of the frontier's candidate thresholds
+    ``values`` (where ``valid``), -inf where a side is lighter than
+    ``min_mass``.  Each attribute is cut once for every node and threshold."""
+    n_segs, n_labels = masses.shape
+    parent_h = _entropy_of(masses, _total(masses))
+    ratios = np.full(values.shape, -np.inf)
+    for attr in np.flatnonzero(valid.any(axis=(0, 2))).tolist():
+        thresholds = np.where(valid[:, attr], values[:, attr], np.nan)[rows.seg]
+        lm, rm = _side_masses(rows, n_segs, n_labels, attr, thresholds)
+        lt, rt = _total(lm), _total(rm)
+        ok = valid[:, attr] & (lt >= min_mass) & (rt >= min_mass)
+        seg = ok.nonzero()[0]
+        ratios[:, attr][ok] = _gain_ratio_of(parent_h[seg], lm[ok], rm[ok], lt[ok], rt[ok])
+    return ratios
+
+
+def _node_stats(dataset: Dataset, s: SplitCandidate, min_mass: float):
+    """(parent label masses, left and right label masses, left and right
+    mass) of one split of the dataset."""
     rows = _node_rows(dataset.tuples, len(dataset.attribute_names), dataset.label_set)
-    stats = _split_stats(rows, s.attr, [s.value], min_mass)[0]
-    if stats is None:
+    n_labels = len(dataset.label_set)
+    if not 0 <= s.attr < rows.table.shape[1]:
+        raise IndexError(f"attribute index {s.attr} out of range")
+    lm, rm = _side_masses(rows, 1, n_labels, s.attr, np.full((len(rows.tp), 1), float(s.value)))
+    lt, rt = _total(lm[0, 0]), _total(rm[0, 0])
+    if lt < min_mass or rt < min_mass:
         raise InvalidSplitError(
             f"split at attr {s.attr} value {s.value} leaves an empty partition"
         )
-    return stats
+    return _label_masses(rows, 1, n_labels)[0], lm[0, 0], rm[0, 0], lt, rt
 
 
 def split_entropy(
     dataset: Dataset, s: SplitCandidate, min_mass: float = MIN_PARTITION_MASS
 ) -> float:
     """Mass-weighted entropy of the two partitions induced by the candidate."""
-    return _split_entropy_of(*_side_stats(dataset, s, min_mass))
+    return float(_split_entropy_of(*_node_stats(dataset, s, min_mass)[1:]))
 
 
 def split_info(
     dataset: Dataset, s: SplitCandidate, min_mass: float = MIN_PARTITION_MASS
 ) -> float:
     """Entropy of the partition sizes themselves; normalizes the gain."""
-    _, _, lt, rt = _side_stats(dataset, s, min_mass)
-    return _split_info_of(lt, rt)
+    return float(_split_info_of(*_node_stats(dataset, s, min_mass)[3:]))
 
 
 def gain_ratio(
     dataset: Dataset, s: SplitCandidate, min_mass: float = MIN_PARTITION_MASS
 ) -> float:
     """Information gain of the split divided by its split info."""
-    stats = _side_stats(dataset, s, min_mass)
-    masses = list(label_masses(dataset).values())
-    return _gain_ratio_of(_entropy_of(masses, sum(masses)), stats)
-
-
-def _gain_ratio_of(parent_h: float, stats) -> float:
-    _, _, lt, rt = stats
-    return (parent_h - _split_entropy_of(*stats)) / _split_info_of(lt, rt)
+    masses, *stats = _node_stats(dataset, s, min_mass)
+    return float(_gain_ratio_of(_entropy_of(masses, _total(masses)), *stats))
 
 
 def gen_split_candidates(dataset: Dataset, n: int) -> list:
@@ -374,60 +420,19 @@ def gen_split_candidates(dataset: Dataset, n: int) -> list:
     whose extent has collapsed contribute no candidates.
     """
     k = len(dataset.attribute_names)
-    n_rows = len(dataset.tuples)
-    box = np.array([t.active_box for t in dataset.tuples], dtype=float).reshape(n_rows, k, 2)
-    return _candidates(box[..., 0], box[..., 1], n)
+    if not dataset.tuples:
+        return []
+    box = np.array([t.active_box for t in dataset.tuples], dtype=float).reshape(-1, k, 2)
+    values, valid = _grid(box[..., 0].min(axis=0), box[..., 1].max(axis=0), n)
+    return [SplitCandidate(a, v) for a, v in zip(valid.nonzero()[0].tolist(), values[valid].tolist())]
 
 
-def _candidates(lo, hi, n: int) -> list:
-    candidates = []
-    if not len(lo):
-        return candidates
-    for attr in range(lo.shape[1]):
-        a = float(lo[:, attr].min())
-        b = float(hi[:, attr].max())
-        if not b > a:
-            continue
-        step = (b - a) / (n + 1)
-        for i in range(1, n + 1):
-            v = a + i * step
-            if a < v < b:
-                candidates.append(SplitCandidate(attr, v))
-    return candidates
-
-
-def _gain_ratios(rows: _Rows, masses, candidates, min_mass: float) -> list:
-    """Gain ratio of each candidate (None where inadmissible), scoring each
-    attribute's thresholds in one broadcast."""
-    parent_h = _entropy_of(masses, sum(masses))
-    by_attr = {}
-    for i, cand in enumerate(candidates):
-        by_attr.setdefault(cand.attr, []).append(i)
-    ratios = [None] * len(candidates)
-    for attr, idx in by_attr.items():
-        stats = _split_stats(rows, attr, [candidates[i].value for i in idx], min_mass)
-        for i, st in zip(idx, stats):
-            if st is not None:
-                ratios[i] = _gain_ratio_of(parent_h, st)
-    return ratios
-
-
-def _best_split_scored(rows: _Rows, masses, candidates, min_mass: float):
-    """(best candidate, its gain ratio) or (None, -inf) if nothing admissible.
-
-    Ties break toward the lowest attribute index, then the lowest threshold,
-    so the result does not depend on candidate order.
-    """
-    best = None
-    best_ratio = -math.inf
-    for cand, ratio in zip(candidates, _gain_ratios(rows, masses, candidates, min_mass)):
-        if ratio is None:
-            continue
-        if ratio > best_ratio or (
-            ratio == best_ratio and (cand.attr, cand.value) < (best.attr, best.value)
-        ):
-            best, best_ratio = cand, ratio
-    return best, best_ratio
+def _grid(lo, hi, n: int):
+    """(..., n) candidate thresholds ``lo + i * (hi - lo) / (n + 1)`` of boxes
+    spanning [lo, hi], and whether each falls strictly inside its box."""
+    step = (hi - lo) / (n + 1)
+    values = lo[..., None] + np.arange(1, n + 1) * step[..., None]
+    return values, (lo[..., None] < values) & (values < hi[..., None])
 
 
 def best_split(
@@ -436,32 +441,53 @@ def best_split(
     min_mass: float = MIN_PARTITION_MASS,
 ) -> Optional[SplitCandidate]:
     """Admissible candidate with the largest gain ratio (None when there is
-    no admissible candidate)."""
-    rows = _node_rows(dataset.tuples, len(dataset.attribute_names), dataset.label_set)
-    cand, _ = _best_split_scored(rows, _masses(rows), candidates, min_mass)
-    return cand
+    no admissible candidate).  Ties break toward the lowest attribute index,
+    then the lowest threshold, so the result does not depend on candidate
+    order."""
+    k = len(dataset.attribute_names)
+    if any(not 0 <= c.attr < k for c in candidates):
+        raise IndexError(f"attribute index out of range in {[c.attr for c in candidates]}")
+    by_attr = [sorted({float(c.value) for c in candidates if c.attr == a}) for a in range(k)]
+    width = max(map(len, by_attr), default=0)
+    if not width:
+        return None
+    values, valid = np.zeros((1, k, width)), np.zeros((1, k, width), dtype=bool)
+    for attr, vals in enumerate(by_attr):
+        values[0, attr, :len(vals)], valid[0, attr, :len(vals)] = vals, True
+    rows = _node_rows(dataset.tuples, k, dataset.label_set)
+    masses = _label_masses(rows, 1, len(dataset.label_set))
+    ratios = _gain_ratios(rows, masses, values, valid, min_mass).ravel()
+    best = int(ratios.argmax())
+    return None if ratios[best] == -np.inf else SplitCandidate(best // width, float(values.flat[best]))
 
 
-def _grow_split(rows: _Rows, masses, depth: int, config: TreeConfig):
-    """(candidate, left rows, right rows) for the node's split, or None when
-    it stays a leaf."""
-    if depth >= config.max_layers:
-        return None
-    if sum(1 for m in masses if m > 0.0) <= 1:
-        return None
-    candidates = _candidates(rows.table[..., _LO], rows.table[..., _HI], config.n_split_points)
-    cand, ratio = _best_split_scored(rows, masses, candidates, config.min_partition_mass)
-    if cand is None or ratio <= 0.0:
-        return None
-    left, right = _partition(rows, cand.attr, cand.value)
-    if not len(left.tp) or not len(right.tp):
-        return None
-    return cand, left, right
+def _best_splits(rows: _Rows, masses, config: TreeConfig):
+    """Best (attribute, threshold, gain ratio) of each frontier node over its
+    candidate grid: the largest gain ratio, ties to the lowest attribute,
+    then threshold; the ratio is -inf when no candidate is admissible."""
+    n_segs, k = len(masses), rows.table.shape[1]
+    key = (rows.seg[:, None] * k + np.arange(k)).ravel()
+    lo, hi = np.full(n_segs * k, np.inf), np.full(n_segs * k, -np.inf)
+    np.minimum.at(lo, key, rows.table[..., _LO].ravel())
+    np.maximum.at(hi, key, rows.table[..., _HI].ravel())
+    values, valid = _grid(lo.reshape(n_segs, k), hi.reshape(n_segs, k), config.n_split_points)
+    ratios = _gain_ratios(rows, masses, values, valid, config.min_partition_mass)
+    best = ratios.reshape(n_segs, -1).argmax(axis=1)
+    at = np.arange(n_segs), best
+    return best // config.n_split_points, values.reshape(n_segs, -1)[at], ratios.reshape(n_segs, -1)[at]
+
+
+def _select(rows: _Rows, keep) -> _Rows:
+    """Rows of the frontier nodes where ``keep``, the nodes renumbered in order."""
+    out = rows.take(keep[rows.seg])
+    out.seg = (np.cumsum(keep) - 1)[out.seg]
+    return out
 
 
 def build_tree(dataset: Dataset, config: TreeConfig) -> UncertainTree:
-    """Grow the tree depth first until purity, candidate exhaustion, or the
-    layer cap."""
+    """Grow the tree until purity, candidate exhaustion, or the layer cap,
+    one depth at a time: every node at a depth is scored and split in one
+    pass."""
     if not dataset.tuples:
         raise TreeConstructionError("cannot build a tree from an empty dataset")
     if not dataset.label_set:
@@ -469,30 +495,44 @@ def build_tree(dataset: Dataset, config: TreeConfig) -> UncertainTree:
     if dataset_mass(dataset) <= 0.0:
         raise TreeConstructionError("training dataset has zero mass")
 
-    plan = []
-    stack = [(_node_rows(dataset.tuples, len(dataset.attribute_names), dataset.label_set), 0, None)]
-    while stack:
-        rows, depth, slot = stack.pop()
-        if slot is not None:
-            plan[slot[0]][slot[1]] = len(plan)
-        masses = _masses(rows)
-        split = _grow_split(rows, masses, depth, config)
-        if split is None:
-            total = sum(masses)
-            lp = {label: m / total for label, m in zip(dataset.label_set, masses)}
-            plan.append(LeafNode(lp, total))
-        else:
-            cand, left, right = split
-            index = len(plan)
-            plan.append([cand.attr, cand.value, None, None])
-            stack.append((right, depth + 1, (index, 3)))
-            stack.append((left, depth + 1, (index, 2)))
+    n_labels = len(dataset.label_set)
+    rows = _node_rows(dataset.tuples, len(dataset.attribute_names), dataset.label_set)
+    plan, slots, depth = [], [None], 0
+    while slots:
+        masses = _label_masses(rows, len(slots), n_labels)
+        split = np.zeros(len(slots), dtype=bool)
+        attr, value = np.zeros(len(slots), dtype=np.intp), np.zeros(len(slots))
+        if depth < config.max_layers:
+            split = (masses > 0.0).sum(axis=1) > 1
+        if split.any():
+            rows = _select(rows, split)
+            attr[split], value[split], ratio = _best_splits(rows, masses[split], config)
+            split[split] = ratio > 0.0
+            rows = _select(rows, ratio > 0.0)
+        if split.any():
+            side, rows = _partition(rows, attr[split][rows.seg], value[split][rows.seg])
+            rows.seg = 2 * rows.seg + side
+            # a node whose cut leaves one side without rows stays a leaf
+            both = (np.bincount(rows.seg, minlength=2 * split.sum()).reshape(-1, 2) > 0).all(1)
+            split[split] = both
+            rows = _select(rows, np.repeat(both, 2))
+        next_slots = []
+        for i, (slot, m) in enumerate(zip(slots, masses.tolist())):
+            if slot is not None:
+                plan[slot[0]][slot[1]] = len(plan)
+            if split[i]:
+                next_slots += [(len(plan), 2), (len(plan), 3)]
+                plan.append([int(attr[i]), float(value[i]), None, None])
+            else:
+                total = sum(m)
+                plan.append(LeafNode({label: x / total for label, x in zip(dataset.label_set, m)}, total))
+        slots, depth = next_slots, depth + 1
     return UncertainTree(dataset.attribute_names, dataset.label_set, _link(plan), config)
 
 
 def _link(plan: list) -> Node:
-    """Root of a tree given in preorder, each entry a leaf or
-    ``[attr, threshold, left index, right index]``."""
+    """Root of a tree given with parents before children, each entry a leaf
+    or ``[attr, threshold, left index, right index]``."""
     nodes = [None] * len(plan)
     for i in range(len(plan) - 1, -1, -1):
         p = plan[i]
@@ -500,40 +540,83 @@ def _link(plan: list) -> Node:
     return nodes[0]
 
 
-#: Samples ``classify_batch`` routes at once, so a large batch's tables stay bounded.
-ROUTE_BLOCK = 2048
+class _Flat:
+    """A tree's nodes as arrays, in the order ``route`` lists leaves: depth
+    first, right subtree before left.  ``child[i]`` is the (left, right)
+    index pair of a split node and ``lp[i]`` a leaf's label probabilities in
+    label-set order; a leaf's threshold is NaN (a split's is finite)."""
+
+    def __init__(self, tree: "UncertainTree"):
+        self.nodes, table, lp, stack = [], [], [], [(tree.root, None)]
+        while stack:
+            node, slot = stack.pop()
+            if slot is not None:
+                table[slot[0]][slot[1]] = len(table)
+            if isinstance(node, SplitNode):
+                stack += [(node.left, (len(table), 0)), (node.right, (len(table), 1))]
+                table.append([0, 0, node.attr, node.threshold])
+                lp.append([0.0] * len(tree.label_set))
+            else:
+                table.append([0, 0, 0, math.nan])
+                lp.append([node.lp[label] for label in tree.label_set])
+            self.nodes.append(node)
+        table = np.array(table).reshape(-1, 4)
+        self.child, self.attr = table[:, :2].astype(np.intp), table[:, 2].astype(np.intp)
+        self.threshold, self.leaf = table[:, 3], np.isnan(table[:, 3])
+        self.lp = np.array(lp).reshape(len(table), len(tree.label_set))
+
+
+#: Samples routed at once.  A depth's frontier holds several fragments of
+#: each, so this bounds the routing tables.
+ROUTE_BLOCK = 512
+
+
+def _arrivals(tree: UncertainTree, tuples):
+    """(node, position, mass) arrays of every leaf the samples reach with
+    positive mass, yielded for ``ROUTE_BLOCK`` samples at a time.  The
+    frontier of each depth is cut in one pass until every row sits at a
+    leaf; rows at a leaf before that meet its NaN threshold and leave the
+    frontier."""
+    flat = tree._flat
+    for start in range(0, len(tuples), ROUTE_BLOCK):
+        rows = _node_rows(tuples[start:start + ROUTE_BLOCK], len(tree.attribute_names))
+        rows.pos += start
+        reached = [(rows.seg, rows.pos, rows.tp)]
+        while not flat.leaf[rows.seg].all():
+            side, rows = _partition(rows, flat.attr[rows.seg], flat.threshold[rows.seg])
+            rows.seg = flat.child[rows.seg, side]
+            reached.append((rows.seg, rows.pos, rows.tp))
+        node, pos, mass = (np.concatenate(r) for r in zip(*reached))
+        at_leaf = flat.leaf[node]
+        yield node[at_leaf], pos[at_leaf], mass[at_leaf]
 
 
 def route(tree: UncertainTree, tuples: Sequence[UncertainTuple]) -> list:
     """``(leaf, positions, masses)`` for each leaf the batch reaches with
-    positive mass, right subtree first: the ascending indices into ``tuples``
-    of the samples that reach it and their arriving masses.  Labels are not read."""
-    rows = _node_rows(tuples, len(tree.attribute_names))
-    reached = []
-    stack = [(tree.root, rows)] if len(rows.tp) else []
-    while stack:
-        node, rows = stack.pop()
-        if isinstance(node, LeafNode):
-            reached.append((node, rows.pos, rows.tp))
-        else:
-            left, right = _partition(rows, node.attr, node.threshold)
-            stack.extend((c, p) for c, p in ((node.left, left), (node.right, right)) if len(p.tp))
-    return reached
+    positive mass, depth first with the right subtree before the left: the
+    ascending indices into ``tuples`` of the samples that reach it and their
+    arriving masses.  Labels are not read."""
+    if not len(tuples):
+        return []
+    node, pos, mass = (np.concatenate(r) for r in zip(*_arrivals(tree, tuples)))
+    order = np.lexsort((pos, node))
+    node, pos, mass = node[order], pos[order], mass[order]
+    starts = np.flatnonzero(np.diff(node, prepend=-1)).tolist()
+    nodes = tree._flat.nodes
+    return [(nodes[node[a]], pos[a:b], mass[a:b]) for a, b in zip(starts, starts[1:] + [len(node)])]
 
 
 def classify_batch(tree: UncertainTree, tuples: Sequence[UncertainTuple]) -> np.ndarray:
     """(samples x ``tree.label_set``) label probabilities: the reached leaves'
     distributions weighted by arriving mass, added leaf by leaf in ``route`` order."""
-    if any(t.tp <= 0.0 for t in tuples):
+    tp = np.array([t.tp for t in tuples], dtype=float)
+    if (tp <= 0.0).any():
         raise InvalidParameterError("cannot classify a zero-mass tuple")
     lp = np.zeros((len(tuples), len(tree.label_set)))
-    for start in range(0, len(tuples), ROUTE_BLOCK):
-        block = tuples[start:start + ROUTE_BLOCK]
-        acc = lp[start:start + len(block)]
-        for leaf, pos, mass in route(tree, block):
-            acc[pos] += mass[:, None] * [leaf.lp[label] for label in tree.label_set]
-        acc /= np.array([t.tp for t in block])[:, None]
-    return lp
+    for node, pos, mass in _arrivals(tree, tuples):
+        order = np.argsort(node, kind="stable")
+        lp += _key_sums(pos[order], len(tuples), mass[order, None] * tree._flat.lp[node[order]])
+    return lp / tp[:, None]
 
 
 def classify(tree: UncertainTree, t: UncertainTuple) -> dict:
@@ -542,24 +625,19 @@ def classify(tree: UncertainTree, t: UncertainTuple) -> dict:
 
 
 def iter_leaves(tree: UncertainTree):
-    """Leaves in left-to-right order."""
-    out = []
-
-    def walk(node):
-        if isinstance(node, LeafNode):
-            out.append(node)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(tree.root)
-    return out
+    """Leaves in left-to-right order: ``route``'s order, reversed."""
+    return [node for node in reversed(tree._flat.nodes) if isinstance(node, LeafNode)]
 
 
 def _node_depth(node: Node) -> int:
-    if isinstance(node, LeafNode):
-        return 0
-    return 1 + max(_node_depth(node.left), _node_depth(node.right))
+    deepest, stack = 0, [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, LeafNode):
+            deepest = max(deepest, depth)
+        else:
+            stack += [(node.right, depth + 1), (node.left, depth + 1)]
+    return deepest
 
 
 def tree_depth(tree: UncertainTree) -> int:
@@ -614,21 +692,28 @@ def k_fold_cv(dataset: Dataset, k: int, config: TreeConfig):
 # --- persistence -------------------------------------------------------------
 
 
-def _node_to_dict(node: Node):
-    if isinstance(node, LeafNode):
-        return {"kind": "leaf", "lp": dict(node.lp), "mass": node.mass}
-    return {
-        "kind": "split",
-        "attr": node.attr,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+def _node_to_dict(root: Node) -> dict:
+    out = {}
+    stack = [(root, out)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, LeafNode):
+            d.update(kind="leaf", lp=dict(node.lp), mass=node.mass)
+        else:
+            d.update(kind="split", attr=node.attr, threshold=node.threshold, left={}, right={})
+            stack += [(node.right, d["right"]), (node.left, d["left"])]
+    return out
+
+
+#: How far a loaded leaf's label probabilities may sum from 1.
+LP_SUM_TOLERANCE = 1e-9
 
 
 def _node_from_dict(data, n_attrs: int, label_set: tuple) -> Node:
     """Rebuild the node tree of ``data``, checking every node on the way:
-    its kind, a split's attribute index and threshold, a leaf's lp labels.
+    its kind, a split's attribute index and threshold, a leaf's lp labels
+    and values (finite, non-negative, summing to 1) and its mass (finite,
+    non-negative).
     Errors raise ``IngestionError`` naming the node by its path from the
     root."""
     plan = []
@@ -641,12 +726,22 @@ def _node_from_dict(data, n_attrs: int, label_set: tuple) -> Node:
         try:
             if kind == "leaf":
                 lp = {str(k): float(v) for k, v in node["lp"].items()}
+                mass = float(node["mass"])
                 if set(lp) != set(label_set):
                     raise IngestionError(
                         f"{where}: lp labels {sorted(lp)} differ from the tree's "
                         f"labels {sorted(label_set)}"
                     )
-                plan.append(LeafNode(lp, float(node["mass"])))
+                if not all(math.isfinite(p) and p >= 0.0 for p in lp.values()):
+                    raise IngestionError(f"{where}: lp {lp} has a negative or non-finite value")
+                if not abs(sum(lp.values()) - 1.0) <= LP_SUM_TOLERANCE:
+                    raise IngestionError(
+                        f"{where}: lp sums to {sum(lp.values())!r}, not 1 "
+                        f"(tolerance {LP_SUM_TOLERANCE})"
+                    )
+                if not (math.isfinite(mass) and mass >= 0.0):
+                    raise IngestionError(f"{where}: leaf mass {mass} is negative or not finite")
+                plan.append(LeafNode(lp, mass))
             elif kind == "split":
                 attr, threshold = node["attr"], float(node["threshold"])
                 if type(attr) is not int or not 0 <= attr < n_attrs:

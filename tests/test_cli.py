@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from designmine.cli import bundled_surrogate_text, main
+from designmine.rules import enumerate_branches
+from designmine.tree import classify, iter_leaves, tree_depth, tree_from_dict, tree_to_dict
+from designmine.uncertain import fresh_tuple, make_marginal
 
 
 def run(*argv):
@@ -154,6 +157,39 @@ def test_sample_from_bounds_deterministic(tmp_path):
     assert sha256_of(out1) == "bcf648efa5670da9fd84983f8f659e153c1c3a0a1bf616694aaacd64f12e4a10"
 
 
+# Bounds files that are not an object of [lo, hi] pairs of finite numbers.
+BAD_BOUNDS = [
+    ([[1.0, 3.0], [0.0, 10.0]], "bounds must be a JSON object"),
+    ({"t": 5, "u": [0.0, 10.0]}, "bounds of 't' are 5,"),
+    ({"t": [1.0], "u": [0.0, 10.0]}, "bounds of 't' are [1.0],"),
+    ({"t": [1.0, "3"], "u": [0.0, 10.0]}, "bounds of 't'"),
+    ({"t": [1.0, float("inf")], "u": [0.0, 10.0]}, "bounds of 't'"),
+    ({"t": [1.0, 3.0], "u": [True, 10.0]}, "bounds of 'u'"),
+]
+
+
+@pytest.mark.parametrize("data, message", BAD_BOUNDS)
+def test_sample_malformed_bounds_exits_2(tmp_path, capsys, data, message):
+    bounds = tmp_path / "b.json"
+    bounds.write_text(json.dumps(data), encoding="utf-8")
+    assert run("sample", "--bounds", str(bounds), "--n", "5", "--out", str(tmp_path / "s.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[IngestionError]: {bounds}: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "data, message", BAD_BOUNDS + [({"t": [1.0, 3.0]}, "missing bounds for attribute 'u'")]
+)
+def test_rules_malformed_bounds_exits_2(dataset_csv, tmp_path, capsys, data, message):
+    tree = trained_tree(dataset_csv, tmp_path)
+    bounds = tmp_path / "b.json"
+    bounds.write_text(json.dumps(data), encoding="utf-8")
+    assert run("rules", "--tree", str(tree), "--data", str(dataset_csv), "--bounds", str(bounds),
+               "--out", str(tmp_path / "r.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[IngestionError]: {bounds}: ") and message in err
+
+
 @pytest.mark.parametrize(
     "edit, where",
     [
@@ -273,6 +309,34 @@ def test_classify_tree_attr_out_of_range_exits_2(dataset_csv, tmp_path, capsys):
     assert err.startswith("error[IngestionError]") and "root.left: attribute index 9" in err
 
 
+def leftmost_leaf(data):
+    """The leftmost leaf of a tree dict and its node path."""
+    node, where = data["root"], "root"
+    while node["kind"] == "split":
+        node, where = node["left"], where + ".left"
+    return node, where
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda leaf: leaf["lp"].update({k: 0.5 for k in leaf["lp"]}), "lp sums to 1.5, not 1"),
+        (lambda leaf: leaf.update(mass=-1.0), "leaf mass -1.0 is negative"),
+    ],
+)
+def test_classify_tree_with_bad_leaf_exits_2(dataset_csv, tmp_path, capsys, edit, message):
+    paths = []
+
+    def edit_leaf(data):
+        leaf, where = leftmost_leaf(data)
+        edit(leaf)
+        paths.append(where)
+
+    assert classify_with_edited_tree(dataset_csv, tmp_path, edit_leaf) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[IngestionError]") and f"{paths[0]}: {message}" in err
+
+
 def test_classify_deeply_nested_tree_exits_2(dataset_csv, tmp_path, capsys):
     leaf = json.dumps({"kind": "leaf", "lp": {"g": 1.0, "m": 0.0, "p": 0.0}, "mass": 1.0})
     split = '{"kind": "split", "attr": 0, "threshold": 2.0, "left": '
@@ -284,6 +348,18 @@ def test_classify_deeply_nested_tree_exits_2(dataset_csv, tmp_path, capsys):
                "--out", str(tmp_path / "lp.csv")) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error[IngestionError]: {tree}: ") and err.count("\n") == 1
+
+    # The same 1500-deep chain, built without JSON, loads, and every walk
+    # over it is a loop: no RecursionError.
+    chain = leaf_dict = json.loads(leaf)
+    for _ in range(1500):
+        chain = {"kind": "split", "attr": 0, "threshold": 2.0, "left": chain, "right": leaf_dict}
+    deep = tree_from_dict({"attributes": ["t", "u"], "labels": ["g", "m", "p"], "root": chain})
+    assert tree_depth(deep) == 1500
+    assert len(iter_leaves(deep)) == len(enumerate_branches(deep)) == 1501
+    sample = fresh_tuple(1, [make_marginal(2.0, 0.1), make_marginal(5.0, 0.1)], "g")
+    assert classify(deep, sample) == {"g": 1.0, "m": 0.0, "p": 0.0}
+    assert tree_depth(tree_from_dict(tree_to_dict(deep))) == 1500
 
 
 # --- metrics -----------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Tests for thin-plate-spline morphing."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import designmine
 
 from designmine.errors import ConditioningError, IngestionError, InvalidParameterError
 from designmine.morph import (
@@ -249,3 +254,13 @@ def test_point_csv_rejects_non_finite(tmp_path, value):
     path.write_text(f"id,x,y,z\n1,1,2,3\n\n2,1,2,{value}\n", encoding="utf-8")
     with pytest.raises(IngestionError, match=r"pts\.csv: row 4: non-finite"):
         load_points(path)
+
+
+def test_importing_the_package_does_not_load_scipy():
+    """scipy is imported by the morph functions that use it, so importing
+    designmine and its CLI (every command but ``morph``) does not load it."""
+    src = os.path.dirname(os.path.dirname(designmine.__file__))
+    code = "import sys, designmine, designmine.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

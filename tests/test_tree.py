@@ -405,6 +405,12 @@ def test_save_tree_mode_follows_umask(tmp_path, umask, mode):
         (lambda d: d["root"]["left"]["lp"].pop("g"), "root.left: lp labels"),
         (lambda d: d["root"]["right"].pop("mass"), "root.right: malformed leaf"),
         (lambda d: d.pop("labels"), "malformed tree"),
+        (lambda d: d["root"]["left"]["lp"].update(g=1.5, p=-0.5), "root.left: lp .* negative"),
+        (lambda d: d["root"]["left"]["lp"].update(p=float("nan")), "root.left: lp .* non-finite"),
+        (lambda d: d["root"]["right"]["lp"].update(g=0.5), "root.right: lp sums to 1.5, not 1"),
+        (lambda d: d["root"]["right"]["lp"].update(g=2e-9), r"root.right: lp sums to 1\.000000002"),
+        (lambda d: d["root"]["right"].update(mass=-1.0), "root.right: leaf mass -1.0"),
+        (lambda d: d["root"]["left"].update(mass=float("inf")), "root.left: leaf mass inf"),
     ],
 )
 def test_tree_from_dict_rejects_malformed_nodes(edit, message):
@@ -412,3 +418,9 @@ def test_tree_from_dict_rejects_malformed_nodes(edit, message):
     edit(data)
     with pytest.raises(IngestionError, match=message):
         tree_from_dict(data)
+
+
+def test_tree_from_dict_accepts_lp_within_tolerance():
+    data = tree_to_dict(build_tree(WORKED, TreeConfig(max_layers=2)))
+    data["root"]["right"]["lp"].update(g=5e-10)
+    assert tree_from_dict(data).root.right.lp == {"g": 5e-10, "p": 1.0}

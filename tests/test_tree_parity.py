@@ -7,6 +7,7 @@ and routing and classifying a batch must equal routing each sample alone
 """
 
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from hypothesis import given, settings, strategies as st
 from designmine.cli import bundled_surrogate_text
 from designmine.doe import SamplingPlan, lhs
 from designmine.pipeline import run_component
+from designmine import tree as tree_module
 from designmine.surrogate import load_surrogate
 from designmine.tree import (
     ROUTE_BLOCK,
     SplitCandidate,
+    SplitNode,
     TreeConfig,
     best_split,
     build_tree,
@@ -172,6 +175,74 @@ def test_route_and_classify_equal_scalar_reference(ds, config, data):
         assert dict(zip(tree.label_set, row)) == expected_lp[i % len(pool)]
         assert sum(row) == pytest.approx(1.0, rel=1e-12)
     assert [classify(tree, t) for t in pool] == expected_lp
+
+
+@st.composite
+def uneven_datasets(draw):
+    """A bulk of 20-60 samples packed in one corner next to a few scattered
+    outliers, so one frontier holds a large node beside small ones."""
+    k = draw(st.integers(1, 3))
+    label_set = ("a", "b", "c")
+    tuples = []
+    for i in range(draw(st.integers(20, 60))):
+        means = [draw(st.floats(1.0, 2.0)) for _ in range(k)]
+        marginals = [make_marginal(m, draw(st.sampled_from([0.0, 0.02, 0.1]))) for m in means]
+        tuples.append(fresh_tuple(i + 1, marginals, draw(st.sampled_from(label_set[:2]))))
+    for i in range(draw(st.integers(1, 5))):
+        marginals = [make_marginal(draw(MEANS), draw(DEVIATIONS)) for _ in range(k)]
+        tuples.append(fresh_tuple(100 + i, marginals, draw(st.sampled_from(label_set))))
+    tuples = draw(st.permutations(tuples))
+    names = tuple(f"x{j}" for j in range(k))
+    return Dataset(names, label_set, tuple(tuples), sum(t.tp for t in tuples))
+
+
+def leaf_depths(tree):
+    """(leaf, depth) pairs of a tree."""
+    out, stack = [], [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, SplitNode):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        else:
+            out.append((node, depth))
+    return out
+
+
+@PARITY
+@given(uneven_datasets(), st.integers(2, 6), st.data())
+def test_uneven_frontiers_equal_scalar_reference_and_conserve_mass(ds, max_layers, data):
+    """Growing level by level, with a large node beside small ones at each
+    depth, gives the scalar reference's tree, routes and classifies like the
+    scalar router, and at every depth the frontier's mass plus the mass of
+    the leaves closed above it is the dataset's mass."""
+    frontier_mass = []
+    label_masses_of = tree_module._label_masses
+
+    def recording(rows, n_segs, n_labels):
+        masses = label_masses_of(rows, n_segs, n_labels)
+        frontier_mass.append(float(masses.sum()))
+        return masses
+
+    config = TreeConfig(max_layers=max_layers, n_split_points=data.draw(st.integers(2, 8)))
+    with patch.object(tree_module, "_label_masses", recording):
+        tree = build_tree(ds, config)
+    assert tree_to_dict(tree) == tree_to_dict(oracle_build(ds, config))
+
+    total = dataset_mass(ds)
+    leaves = leaf_depths(tree)
+    for depth, mass in enumerate(frontier_mass):
+        closed = sum(leaf.mass for leaf, d in leaves if d < depth)
+        assert mass + closed == pytest.approx(total, rel=1e-12)
+    assert len(frontier_mass) == 1 + max(d for _, d in leaves)
+
+    samples = list(ds.tuples[:: max(1, len(ds.tuples) // 8)])
+    reached = [[] for _ in samples]
+    for leaf, pos, mass in route(tree, samples):
+        for i, w in zip(pos.tolist(), mass.tolist()):
+            reached[i].append((id(leaf), w))
+    assert reached == [[(id(leaf), w) for leaf, w in oracle_route(tree, t)] for t in samples]
+    lp = classify_batch(tree, samples).tolist()
+    assert [dict(zip(tree.label_set, row)) for row in lp] == [oracle_classify(tree, t) for t in samples]
 
 
 def test_seed7_demo_component_classifies_like_scalar_reference():
