@@ -36,12 +36,23 @@ RESIDUAL_LIMIT = 1e-8
 
 
 def tps_kernel(r):
-    """r^2 * ln(r), continued with 0 at r = 0.  Accepts scalars or arrays."""
-    r = np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(r > 0.0, r * r * np.log(np.where(r > 0.0, r, 1.0)), 0.0)
+    """r^2 * ln(r), continued with 0 where r is not positive (0, negative or
+    NaN).  Accepts scalars or arrays."""
+    out = _tps_kernel_inplace(np.array(r, dtype=float))
     if out.ndim == 0:
         return float(out)
+    return out
+
+
+def _tps_kernel_inplace(r):
+    """``tps_kernel`` of a float array the caller owns, which is overwritten
+    with its square: ``(r * r) * ln(r)`` where r > 0 and 0 elsewhere, with no
+    float temporary besides the result."""
+    pos = r > 0.0
+    out = np.zeros_like(r)
+    np.log(r, out=out, where=pos)
+    r *= r
+    np.multiply(r, out, out=out, where=pos)
     return out
 
 
@@ -86,7 +97,7 @@ def _system_matrix(original: np.ndarray, regularization: float):
     from scipy.spatial.distance import cdist
 
     n = original.shape[0]
-    a = tps_kernel(cdist(original, original))
+    a = _tps_kernel_inplace(cdist(original, original))
     if regularization:
         a = a + regularization * np.eye(n)
     b = np.hstack([np.ones((n, 1)), original])
@@ -149,7 +160,7 @@ def apply_morph(morph: MorphMap, nodes) -> np.ndarray:
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if nodes.shape[1] != 3:
         raise InvalidParameterError("nodes must be an m-by-3 array")
-    a = tps_kernel(cdist(nodes, morph.original))
+    a = _tps_kernel_inplace(cdist(nodes, morph.original))
     return a @ morph.kernel_weights + nodes @ morph.affine + morph.offset
 
 
@@ -160,9 +171,44 @@ def _data_rows(reader):
             yield lineno, row
 
 
-def load_points(path):
-    """Read an `id,x,y,z` CSV; ids come back verbatim as strings.  Every
-    coordinate must be a finite number."""
+#: Characters that send a point CSV to the row reader: a quote (CSV quoting),
+#: a bare CR (a line break ``str.split("\n")`` does not see), NUL (which
+#: ``csv`` rejects on some Python versions) and \x1c-\x1f (whitespace to
+#: numpy's float parser, but not to ``float``).
+_ROW_READER_CHARS = '"\r\0\x1c\x1d\x1e\x1f'
+
+
+def _read_plain(path):
+    """(ids, points) of a well-formed point CSV with no quote and no bare CR,
+    its coordinates parsed in one ``np.loadtxt`` call; None when the file
+    needs the row reader, to read it or to say what is wrong with it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read().replace("\r\n", "\n")
+    except UnicodeDecodeError:
+        return None
+    if any(c in text for c in _ROW_READER_CHARS):
+        return None
+    header, _, body = text.partition("\n")
+    if [h.strip() for h in header.split(",")] != ["id", "x", "y", "z"]:
+        return None
+    lines = [line for line in body.split("\n") if line.strip()]
+    if (
+        not lines
+        or body.count(",") != 3 * len(lines)
+        or max(map(len, lines)) > csv.field_size_limit()
+    ):
+        return None
+    try:
+        points = np.loadtxt(lines, delimiter=",", usecols=(1, 2, 3), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return [line.partition(",")[0] for line in lines], points
+
+
+def _read_rows(path):
+    """(ids, points) read row by row with ``csv``: the reader of quoted ids
+    and bare CRs, and the one that names a malformed file's first bad row."""
     ids, coords = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -180,7 +226,13 @@ def load_points(path):
                 coords.append([float(c) for c in row[1:]])
             except ValueError:
                 raise IngestionError(f"{path}: row {lineno}: bad coordinate") from None
-    points = np.asarray(coords, dtype=float)
+    return ids, np.asarray(coords, dtype=float)
+
+
+def load_points(path):
+    """Read an `id,x,y,z` CSV; ids come back verbatim as strings.  Every
+    coordinate must be a finite number."""
+    ids, points = _read_plain(path) or _read_rows(path)
     if not np.isfinite(points).all():
         bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
         with open(path, newline="", encoding="utf-8") as fh:
@@ -191,11 +243,19 @@ def load_points(path):
     return ids, points
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with its quotes doubled, when it
+    holds a comma, a quote, a CR or an LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def save_points(path, ids, coords) -> None:
-    """Write an `id,x,y,z` CSV preserving ids and row order."""
-    coords = np.asarray(coords)
+    """Write an `id,x,y,z` CSV preserving ids and row order; coordinates are
+    written with ``repr``, so they read back exactly."""
+    rows = zip(map(_csv_field, map(str, ids)), np.asarray(coords, dtype=float).tolist())
+    text = "".join([f"{i},{x!r},{y!r},{z!r}\n" for i, (x, y, z) in rows])
     with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "x", "y", "z"])
-        for i, row in zip(ids, coords):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+        fh.write("id,x,y,z\n")
+        fh.write(text)

@@ -358,10 +358,17 @@ def _gain_ratio_of(parent_h, left, right, lt, rt):
     return (parent_h - _split_entropy_of(left, right, lt, rt)) / _split_info_of(lt, rt)
 
 
+def _admissible(lt, rt, min_mass: float):
+    """Whether both sides of a split carry mass, at least ``min_mass`` each:
+    a side of mass 0 is never admissible, whatever ``min_mass`` is."""
+    side = np.minimum(lt, rt)
+    return (side > 0.0) & (side >= min_mass)
+
+
 def _gain_ratios(rows: _Rows, masses, values, valid, min_mass: float):
     """(nodes, k, C) gain ratios of the frontier's candidate thresholds
-    ``values`` (where ``valid``), -inf where a side is lighter than
-    ``min_mass``.  Each attribute is cut once for every node and threshold."""
+    ``values`` (where ``valid``), -inf where a split is not admissible.  Each
+    attribute is cut once for every node and threshold."""
     n_segs, n_labels = masses.shape
     parent_h = _entropy_of(masses, _total(masses))
     ratios = np.full(values.shape, -np.inf)
@@ -369,7 +376,7 @@ def _gain_ratios(rows: _Rows, masses, values, valid, min_mass: float):
         thresholds = np.where(valid[:, attr], values[:, attr], np.nan)[rows.seg]
         lm, rm = _side_masses(rows, n_segs, n_labels, attr, thresholds)
         lt, rt = _total(lm), _total(rm)
-        ok = valid[:, attr] & (lt >= min_mass) & (rt >= min_mass)
+        ok = valid[:, attr] & _admissible(lt, rt, min_mass)
         seg = ok.nonzero()[0]
         ratios[:, attr][ok] = _gain_ratio_of(parent_h[seg], lm[ok], rm[ok], lt[ok], rt[ok])
     return ratios
@@ -384,7 +391,7 @@ def _node_stats(dataset: Dataset, s: SplitCandidate, min_mass: float):
         raise IndexError(f"attribute index {s.attr} out of range")
     lm, rm = _side_masses(rows, 1, n_labels, s.attr, np.full((len(rows.tp), 1), float(s.value)))
     lt, rt = _total(lm[0, 0]), _total(rm[0, 0])
-    if lt < min_mass or rt < min_mass:
+    if not _admissible(lt, rt, min_mass):
         raise InvalidSplitError(
             f"split at attr {s.attr} value {s.value} leaves an empty partition"
         )

@@ -9,14 +9,19 @@ with the package's ``partition_tuple``; it checks the routing that scores
 branches, not the partition itself.  The scalar tree builder and the scalar
 router grow a tree and route a sample tuple by tuple with ``partition_tuple``:
 they are the definitions the array core of ``designmine.tree`` must reproduce
-bit for bit.
+bit for bit.  The row-by-row point CSV reader is the definition the array
+reader of ``designmine.morph.load_points`` must reproduce: same ids, same
+coordinates, same error messages.
 """
 
+import csv
+import itertools
 import math
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from designmine.errors import IngestionError
 from designmine.tree import LeafNode, SplitCandidate, SplitNode, UncertainTree
 from designmine.uncertain import dataset_mass, label_masses, partition_tuple
 
@@ -134,11 +139,11 @@ def _partition_label_masses(dataset, s):
 
 def oracle_gain_ratio(dataset, s, min_mass):
     """Gain ratio of one candidate, or None when a side is lighter than
-    ``min_mass``."""
+    ``min_mass`` or has no mass."""
     left, right = _partition_label_masses(dataset, s)
     lt = sum(left.values())
     rt = sum(right.values())
-    if lt < min_mass or rt < min_mass:
+    if lt < min_mass or rt < min_mass or lt <= 0.0 or rt <= 0.0:
         return None
     parent = label_masses(dataset)
     total = lt + rt
@@ -332,3 +337,44 @@ def random_certain_problem(rng, max_tuples=50, max_attrs=4):
             bucket = int(rng.integers(0, n_labels))
         labels.append(label_set[bucket])
     return [tuple(map(float, row)) for row in X], labels, label_set
+
+
+# --- row-by-row point CSV reader ---------------------------------------------
+
+
+def _data_rows(reader):
+    """(line number, row) for the non-blank rows after the header."""
+    for lineno, row in enumerate(reader, start=2):
+        if row and any(c.strip() for c in row):
+            yield lineno, row
+
+
+def oracle_load_points(path):
+    """Read an `id,x,y,z` CSV; ids come back verbatim as strings.  Every
+    coordinate must be a finite number."""
+    ids, coords = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise IngestionError(f"{path}: empty file") from None
+        if header != ["id", "x", "y", "z"]:
+            raise IngestionError(f"{path}: expected header id,x,y,z, got {','.join(header)}")
+        for lineno, row in _data_rows(reader):
+            if len(row) != 4:
+                raise IngestionError(f"{path}: row {lineno}: wrong field count")
+            ids.append(row[0])
+            try:
+                coords.append([float(c) for c in row[1:]])
+            except ValueError:
+                raise IngestionError(f"{path}: row {lineno}: bad coordinate") from None
+    points = np.asarray(coords, dtype=float)
+    if not np.isfinite(points).all():
+        bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            lineno, _ = next(itertools.islice(_data_rows(reader), bad, None))
+        raise IngestionError(f"{path}: row {lineno}: non-finite coordinate")
+    return ids, points

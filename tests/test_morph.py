@@ -1,15 +1,21 @@
 """Tests for thin-plate-spline morphing."""
 
+import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import designmine
 
+from _oracles import oracle_load_points
+from designmine import morph as morph_module
 from designmine.errors import ConditioningError, IngestionError, InvalidParameterError
 from designmine.morph import (
     ControlPointSet,
@@ -49,10 +55,32 @@ def oracle_solve(cps):
 # --- kernel -------------------------------------------------------------------
 
 
+def where_kernel(r):
+    """The kernel as ``np.where`` defines it: ``r * r * ln(r)`` where r > 0,
+    and 0 elsewhere."""
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(r > 0.0, r * r * np.log(np.where(r > 0.0, r, 1.0)), 0.0)
+
+
 def test_tps_kernel_special_values():
     assert tps_kernel(0.0) == 0.0
     assert tps_kernel(1.0) == 0.0
     assert tps_kernel(math.e) == pytest.approx(math.e**2, rel=1e-12)
+    r = np.array(
+        [0.0, -0.0, -2.0, -1e-300, -np.inf, np.nan, np.inf, 1e-300, 5e-324, 0.5, 1.0, math.e, 1e150]
+    )
+    before = r.copy()
+    out, expected = tps_kernel(r), where_kernel(r)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+    assert np.array_equal(r, before, equal_nan=True)  # the input is not overwritten
+    for v, e in zip(r.tolist(), expected.tolist()):
+        k = tps_kernel(v)
+        assert type(k) is float and k == e and math.copysign(1.0, k) == math.copysign(1.0, e)
+    assert tps_kernel(np.nan) == 0.0 and tps_kernel(-np.inf) == 0.0 and tps_kernel(-3.0) == 0.0
+    assert tps_kernel(np.inf) == np.inf
+    assert math.copysign(1.0, tps_kernel(1e-300)) == -1.0  # r * r underflows to 0, times ln r < 0
 
 
 def test_tps_kernel_vectorized():
@@ -254,6 +282,213 @@ def test_point_csv_rejects_non_finite(tmp_path, value):
     path.write_text(f"id,x,y,z\n1,1,2,3\n\n2,1,2,{value}\n", encoding="utf-8")
     with pytest.raises(IngestionError, match=r"pts\.csv: row 4: non-finite"):
         load_points(path)
+
+
+def test_point_csv_row_number_of_errors_counts_blank_lines(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"id,x,y,z\r\n1,1,2,3\r\n\r\n  \r\n2,1,2\r\n")
+    with pytest.raises(IngestionError, match=r"pts\.csv: row 5: wrong field count"):
+        load_points(path)
+    path.write_bytes(b"id,x,y,z\n1,1,2,3\n2,1,x,3\n")
+    with pytest.raises(IngestionError, match=r"pts\.csv: row 3: bad coordinate"):
+        load_points(path)
+
+
+def test_plain_files_take_the_array_path(tmp_path):
+    """A file with no quote and no bare CR is parsed by ``np.loadtxt`` in one
+    call, and reads exactly as the row-by-row reader reads it."""
+    path = tmp_path / "pts.csv"
+    path.write_bytes(
+        "id,x,y,z\r\n"
+        "n#1,0.1,-0.0,5e-324\r\n"
+        "\r\n"
+        "   \r\n"
+        "n\u20282, +1 ,\t2.5e-310,1E5\r\n"
+        ",1,2,3\r\n"
+        " spaced id ,-7,.5,5.".encode("utf-8")
+    )
+    expected_ids, expected = oracle_load_points(path)
+    plain = morph_module._read_plain(path)
+    assert plain is not None
+    ids, points = plain
+    assert ids == expected_ids == ["n#1", "n\u20282", "", " spaced id "]
+    assert np.array_equal(points, expected)
+    assert np.array_equal(np.signbit(points), np.signbit(expected))
+    assert load_points(path)[0] == expected_ids
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '"q,uoted",1,2,3\n"a ""b""",4,5,6\n',  # quoted ids
+        "a\r1,2,3\rb,4,5,6\r",  # bare CR line ends
+        "a\rb,1,2,3\n",  # a bare CR inside an unquoted id
+        "a,1,2\r,3\n",  # a bare CR after a coordinate
+        "a,1_0,2,3\n",  # float() accepts underscores, numpy does not
+        "a,1,2,3\n,,,\n b , 4 ,5,6\n",  # a row of empty fields is blank
+        "a,1\x1c,2,3\n",  # whitespace to numpy, not to float()
+        "a,1,2,3,\n",  # a fifth, empty field
+        "a,1,2\nb,1,2,3,4\n",  # three and five fields
+        "a,1,2,3\n\xa0,\u2028,\t, \n",  # fields of unicode whitespace
+        "a,\u0661,2,3\n",  # a non-ASCII digit float() reads
+        "a,1,2,3\nb,nan,2,3\n",
+        "a,1,2,1e400\n",
+        "",
+        "a,1,2,3\n",
+    ],
+)
+def test_odd_point_files_read_as_the_row_reader_reads_them(tmp_path, body):
+    path = tmp_path / "pts.csv"
+    for header in ("id,x,y,z\n", " id , x,y ,z\r\n", "id,x,y\n", "\n"):
+        path.write_bytes((header + body).encode("utf-8"))
+        assert_reads_like_oracle(path)
+    path.write_bytes(b"")
+    assert_reads_like_oracle(path)
+
+
+def test_point_csv_fields_over_the_csv_limit_read_as_the_row_reader_reads_them(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("id,x,y,z\n" + "a" * (csv.field_size_limit() + 1) + ",1,2,3\n", encoding="utf-8")
+    with pytest.raises(csv.Error) as exc:
+        oracle_load_points(path)
+    with pytest.raises(csv.Error) as got:
+        load_points(path)
+    assert str(got.value) == str(exc.value)
+
+
+def outcome(loader, path):
+    """What a reader makes of a file: (ids, points) or its error message,
+    with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return loader(path)
+        except IngestionError as exc:
+            return str(exc)
+
+
+def assert_reads_like_oracle(path):
+    expected, got = outcome(oracle_load_points, path), outcome(load_points, path)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert not isinstance(got, str), got
+    assert got[0] == expected[0]
+    assert got[1].shape == expected[1].shape
+    assert np.array_equal(got[1], expected[1])
+    assert np.array_equal(np.signbit(got[1]), np.signbit(expected[1]))
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ID_CHARS = st.sampled_from(["a", "7", " ", "#", ",", '"', "\r", "\u2028", "\xe9", "\t"])
+TOKENS = st.one_of(
+    FINITE.map(repr),
+    FINITE.map("{:e}".format),
+    st.integers(-(10**6), 10**6).map("{:+d}".format),
+    st.sampled_from(["1_0", " 1.5", "2.5 ", "\t3\t", "-0.0", "5e-324", "2.5e-320", "1E5", ".5", "5."]),
+)
+BAD_TOKENS = {
+    "nan": ["nan", "NaN", "-nan"],
+    "inf": ["inf", "-Infinity", "1e400"],
+    "bad": ["abc", "1.2.3", "", "--1", "0x10"],
+}
+BLANK_ROWS = st.sampled_from(["", "  ", "\t", ",,,", " , , , "])
+
+
+def csv_id(text, quote):
+    if quote or "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def point_files(draw):
+    """Text of a point CSV: odd ids, number forms, blank rows and line ends,
+    and at most one malformed row."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        ident = csv_id(draw(st.text(ID_CHARS, max_size=4)), draw(st.booleans()))
+        rows.append([ident] + draw(st.lists(TOKENS, min_size=3, max_size=3)))
+    mutation = draw(st.sampled_from(["none", "nan", "inf", "bad", "short", "long", "header-only"]))
+    if mutation == "header-only":
+        rows = []
+    elif rows and mutation != "none":
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if mutation == "short":
+            del row[draw(st.integers(1, 3))]
+        elif mutation == "long":
+            row.append(draw(TOKENS))
+        else:
+            row[draw(st.integers(1, 3))] = draw(st.sampled_from(BAD_TOKENS[mutation]))
+    lines = [",".join(row) for row in rows]
+    for at, blank in draw(st.lists(st.tuples(st.integers(0, len(lines)), BLANK_ROWS), max_size=3)):
+        lines.insert(at, blank)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(["id,x,y,z"] + lines)
+    return text + end if draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("points")
+
+
+@PROPERTY
+@given(point_files())
+def test_load_points_matches_the_row_reader(scratch, text):
+    path = scratch / "pts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_reads_like_oracle(path)
+
+
+def csv_writer_bytes(ids, coords):
+    """The point CSV ``csv.writer`` writes, row by row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "x", "y", "z"])
+    for i, row in zip(ids, coords):
+        writer.writerow([i] + [repr(float(v)) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+COORDS = st.one_of(FINITE, st.sampled_from([-0.0, 5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**53]))
+POINT_ROWS = st.lists(st.tuples(COORDS, COORDS, COORDS), min_size=1, max_size=8)
+
+
+@PROPERTY
+@given(st.data(), POINT_ROWS)
+def test_save_points_writes_the_csv_writer_bytes(scratch, data, rows):
+    ids = data.draw(
+        st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\r\x00")),
+                 min_size=len(rows), max_size=len(rows))
+    )
+    path = scratch / "out.csv"
+    save_points(path, ids, np.array(rows))
+    assert path.read_bytes() == csv_writer_bytes(ids, rows)
+
+
+@PROPERTY
+@given(st.data(), POINT_ROWS)
+def test_every_id_save_points_writes_reads_back(scratch, data, rows):
+    ids = data.draw(
+        st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\x00")),
+                 min_size=len(rows), max_size=len(rows))
+    )
+    coords = np.array(rows)
+    path = scratch / "round.csv"
+    save_points(path, ids, coords)
+    rids, rcoords = load_points(path)
+    assert rids == ids
+    assert np.array_equal(rcoords, coords)
+    assert np.array_equal(np.signbit(rcoords), np.signbit(coords))
+
+
+def test_ids_with_a_bare_cr_read_back(tmp_path):
+    path = tmp_path / "pts.csv"
+    save_points(path, ["a\rb", "c"], np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+    assert path.read_bytes() == b'id,x,y,z\n"a\rb",1.0,2.0,3.0\nc,4.0,5.0,6.0\n'
+    assert load_points(path)[0] == ["a\rb", "c"]
 
 
 def test_importing_the_package_does_not_load_scipy():

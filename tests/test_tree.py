@@ -114,6 +114,26 @@ def test_split_info_rejects_empty_partition():
         split_info(WORKED, SplitCandidate(0, 0.5))
 
 
+def test_zero_mass_side_is_never_admissible():
+    """A side of mass 0 is inadmissible even with ``min_mass`` 0."""
+    s = SplitCandidate(0, 0.05)
+    for score in (gain_ratio, split_entropy, split_info):
+        with pytest.raises(InvalidSplitError):
+            score(WORKED, s, 0.0)
+    assert best_split(WORKED, [s], 0.0) is None
+    assert best_split(WORKED, [s, SplitCandidate(0, 2.5)], 0.0) == SplitCandidate(0, 2.5)
+
+
+def test_build_tree_with_zero_min_partition_mass():
+    ds = dataset_from_design(["x", "y"], [[1.0, 4.0], [2.0, 3.0], [3.0, 2.0], [4.0, 1.0]], ["g", "g", "p", "p"], 0.1)
+    tree = build_tree(ds, TreeConfig(max_layers=4, min_partition_mass=0.0))
+    assert isinstance(tree.root, SplitNode)
+    for leaf in iter_leaves(tree):
+        assert sum(leaf.lp.values()) == pytest.approx(1.0, abs=1e-12)
+    zero = build_tree(WORKED, TreeConfig(max_layers=4, min_partition_mass=0.0))
+    assert zero.root == build_tree(WORKED, TreeConfig(max_layers=4)).root
+
+
 def test_gain_ratio_values():
     assert gain_ratio(WORKED, SplitCandidate(0, 2.5)) == pytest.approx(1.0, abs=1e-12)
     assert gain_ratio(WORKED, SplitCandidate(0, 1.5)) == pytest.approx(
