@@ -50,7 +50,7 @@ from .tree import (
     save_tree,
     training_accuracy,
 )
-from .uncertain import fresh_tuple, load_dataset, load_design_points, make_marginal
+from .uncertain import _read_design_points, dataset_from_design, load_dataset
 
 
 # --- output plumbing ----------------------------------------------------------
@@ -156,16 +156,13 @@ def _data_extent_bounds(dataset):
     return bounds
 
 
-def _design_tuples(path, uncertainty, expected_names=None, label="g"):
-    names, rows, _ = load_design_points(path)
-    if expected_names is not None and list(expected_names) != list(names):
+def _design_tuples(path, uncertainty, expected_names, label="g"):
+    names, values, _ = _read_design_points(path)
+    if list(expected_names) != list(names):
         raise SchemaError(
             f"{path}: columns {names} do not match expected attributes {list(expected_names)}"
         )
-    return names, rows, [
-        fresh_tuple(i + 1, [make_marginal(v, uncertainty) for v in row], label)
-        for i, row in enumerate(rows)
-    ]
+    return dataset_from_design(names, values, [label] * len(values), uncertainty).tuples
 
 
 # --- commands -------------------------------------------------------------------
@@ -241,9 +238,7 @@ def cmd_screen(args) -> int:
     run.add_input(args.tree)
     run.add_input(args.designs)
     tree = load_tree(args.tree)
-    _, _, tuples = _design_tuples(
-        args.designs, args.uncertainty, tree.attribute_names, args.label
-    )
+    tuples = _design_tuples(args.designs, args.uncertainty, tree.attribute_names, args.label)
     screened = screen_designs(tree, tuples, args.label, args.top)
     run.write(args.out, _screen_csv(tree.label_set, screened))
     print(f"top {args.top} of {len(tuples)} designs written to {args.out}")
@@ -256,7 +251,7 @@ def cmd_classify(args) -> int:
     run.add_input(args.tree)
     run.add_input(args.data)
     tree = load_tree(args.tree)
-    _, _, tuples = _design_tuples(args.data, args.uncertainty, tree.attribute_names)
+    tuples = _design_tuples(args.data, args.uncertainty, tree.attribute_names)
     labels = _lp_columns(tree.label_set)
     lp = classify_batch(tree, tuples)[:, [tree.label_set.index(lab) for lab in labels]]
     lines = ["id," + ",".join(f"lp_{lab}" for lab in labels)]

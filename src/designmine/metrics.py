@@ -8,11 +8,13 @@ samples as given (no interpolation beyond linear).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .csvtext import read_text
 from .errors import IngestionError, InvalidParameterError
 
 __all__ = [
@@ -160,7 +162,7 @@ def load_histories(path) -> IntrusionHistories:
 
 
 def _load_columns(path, expected):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

@@ -10,12 +10,14 @@ logarithm throughout.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic import atomic_open
+from .csvtext import read_plain, read_text
 from .errors import ConditioningError, IngestionError, InvalidParameterError
 
 __all__ = [
@@ -171,38 +173,14 @@ def _data_rows(reader):
             yield lineno, row
 
 
-#: Characters that send a point CSV to the row reader: a quote (CSV quoting),
-#: a bare CR (a line break ``str.split("\n")`` does not see), NUL (which
-#: ``csv`` rejects on some Python versions) and \x1c-\x1f (whitespace to
-#: numpy's float parser, but not to ``float``).
-_ROW_READER_CHARS = '"\r\0\x1c\x1d\x1e\x1f'
-
-
 def _read_plain(path):
     """(ids, points) of a well-formed point CSV with no quote and no bare CR,
     its coordinates parsed in one ``np.loadtxt`` call; None when the file
     needs the row reader, to read it or to say what is wrong with it."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read().replace("\r\n", "\n")
-    except UnicodeDecodeError:
+    plain = read_plain(path, text_column=0)
+    if plain is None or plain[0] != ["id", "x", "y", "z"]:
         return None
-    if any(c in text for c in _ROW_READER_CHARS):
-        return None
-    header, _, body = text.partition("\n")
-    if [h.strip() for h in header.split(",")] != ["id", "x", "y", "z"]:
-        return None
-    lines = [line for line in body.split("\n") if line.strip()]
-    if (
-        not lines
-        or body.count(",") != 3 * len(lines)
-        or max(map(len, lines)) > csv.field_size_limit()
-    ):
-        return None
-    try:
-        points = np.loadtxt(lines, delimiter=",", usecols=(1, 2, 3), comments=None, ndmin=2)
-    except ValueError:
-        return None
+    _, lines, points = plain
     return [line.partition(",")[0] for line in lines], points
 
 
@@ -210,7 +188,7 @@ def _read_rows(path):
     """(ids, points) read row by row with ``csv``: the reader of quoted ids
     and bare CRs, and the one that names a malformed file's first bad row."""
     ids, coords = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -235,7 +213,7 @@ def load_points(path):
     ids, points = _read_plain(path) or _read_rows(path)
     if not np.isfinite(points).all():
         bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
-        with open(path, newline="", encoding="utf-8") as fh:
+        with io.StringIO(read_text(path), newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
             lineno, _ = next(itertools.islice(_data_rows(reader), bad, None))

@@ -23,7 +23,7 @@ from .rules import (
 )
 from .surrogate import ComponentSpec, SurrogateSpec, surrogate_respond
 from .tree import UncertainTree, TreeConfig, build_tree, training_accuracy
-from .uncertain import Dataset, apply_labels, dataset_from_design, fresh_tuple, make_marginal
+from .uncertain import Dataset, apply_labels, dataset_from_design
 
 __all__ = ["ComponentResult", "SystemDesign", "run_component", "recombine", "run_demo"]
 
@@ -92,7 +92,7 @@ def run_component(
     records = [surrogate_respond(x, comp) for x in design]
     labels = apply_labels(records, problem.criteria)
     dataset = dataset_from_design(
-        comp.variable_names, design.tolist(), labels, uncertainty, problem.criteria.labels
+        comp.variable_names, design, labels, uncertainty, problem.criteria.labels
     )
     config = TreeConfig(
         max_layers=problem.max_layers, n_split_points=n_split_points, seed=seed
@@ -103,10 +103,9 @@ def run_component(
     )
     rule = rule_from_payload(payload)
     candidates = lhs_in_rule(rule, n_subspace, seed + 1)
-    tuples = [
-        fresh_tuple(i + 1, [make_marginal(v, uncertainty) for v in row], target_label)
-        for i, row in enumerate(candidates)
-    ]
+    tuples = dataset_from_design(
+        comp.variable_names, candidates, [target_label] * len(candidates), uncertainty
+    ).tuples
     ranked = screen_designs(tree, tuples, target_label, len(tuples))
     finals = ranked[:top_k]
     return ComponentResult(

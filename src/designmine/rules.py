@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
     SelectionError,
 )
-from .tree import UncertainTree, LeafNode, classify_batch, route
+from .tree import UncertainTree, LeafNode, _route, classify_batch
 from .uncertain import Dataset, LabelCriteria, UncertainTuple, dataset_mass
 
 __all__ = [
@@ -193,9 +193,11 @@ def _leaf_ctt(tree: UncertainTree, d_origin: Dataset, targets) -> dict:
     total = dataset_mass(d_origin)
     if total <= 0.0:
         raise EmptyDatasetError("CTT undefined on a zero-mass dataset")
-    routed = [t for t in d_origin.tuples if t.label in targets]
+    keep = np.array([t.label in targets for t in d_origin.tuples], dtype=bool)
+    routed = [t for t, kept in zip(d_origin.tuples, keep.tolist()) if kept]
     labels = np.array([t.label for t in routed], dtype=object)
-    hits = ((leaf, mass[labels[pos] == leaf.dominant]) for leaf, pos, mass in route(tree, routed))
+    arrivals = _route(tree, routed, d_origin._table[keep])
+    hits = ((leaf, mass[labels[pos] == leaf.dominant]) for leaf, pos, mass in arrivals)
     return {id(leaf): float(hit.cumsum()[-1]) / total for leaf, hit in hits if len(hit)}
 
 

@@ -26,7 +26,23 @@ from .errors import (
     SchemaError,
     TreeConstructionError,
 )
-from .uncertain import Dataset, UncertainTuple, dataset_mass, label_masses
+from .uncertain import (
+    _CDF_HI,
+    _CDF_LO,
+    _HI,
+    _LO,
+    _MASS,
+    _MEAN,
+    _NORM,
+    _SIGMA,
+    Dataset,
+    UncertainTuple,
+    _elementwise,
+    _normal_cdf,
+    _tuple_table,
+    dataset_mass,
+    label_masses,
+)
 
 __all__ = [
     "TreeConfig",
@@ -136,12 +152,9 @@ def predicted_label(lp: dict) -> str:
     return dominant_label(lp)
 
 
-_log2 = np.frompyfunc(math.log2, 1, 1)
-
-
 def _plog2(p):
     """``p * math.log2(p)``, elementwise."""
-    return p * np.asarray(_log2(p), dtype=float)
+    return p * _elementwise(math.log2, p)
 
 
 def _total(masses):
@@ -184,24 +197,9 @@ def entropy(dataset: Dataset) -> float:
 # bit-identical to growing them tuple by tuple with ``partition_tuple``.
 #
 # Both work one depth at a time: the rows of every node at a depth (the
-# frontier) sit in one table, each tagged with its node, and each step is one
-# numpy pass over the whole frontier.
-
-_SQRT2 = math.sqrt(2.0)
-_erf = np.frompyfunc(math.erf, 1, 1)
-
-
-def _normal_cdf(x, mean, sigma):
-    """``uncertain._std_normal_cdf((x - mean) / sigma)``, elementwise."""
-    z = (x - mean) / sigma
-    return 0.5 * (1.0 + _erf(z / _SQRT2).astype(float))
-
-
-# Fields of a row's (attribute, field) table: the active box, the box mass,
-# the marginal, and the normal CDF at the box bounds (0 for point marginals).
-# A cut writes a left child's upper bound (_HI, _CDF_HI) and a right child's
-# lower one (_HI - 1, _CDF_HI - 1).
-_LO, _HI, _MASS, _MEAN, _SIGMA, _NORM, _CDF_LO, _CDF_HI = range(8)
+# frontier) sit in one table (``uncertain._tuple_table``), each tagged with
+# its node, and each step is one numpy pass over the whole frontier.  A
+# dataset's table is built once and cached on it (``Dataset._table``).
 
 
 class _Rows:
@@ -227,27 +225,27 @@ class _Rows:
         )
 
 
-def _node_rows(tuples, k: int, label_set=()) -> _Rows:
+def _node_rows(tuples, k: int, label_set=(), table=None) -> _Rows:
     """Rows of ``tuples`` with ``k`` attributes at node 0, labels indexed in
-    ``label_set``; without a label set, labels are not read."""
+    ``label_set`` (without a label set, labels are not read); ``table`` is
+    their table when it is at hand, such as a dataset's cached one, which is
+    read and never written."""
     index = {label: j for j, label in enumerate(label_set)}
     label = np.array([index[t.label] if index else 0 for t in tuples], dtype=np.intp)
     for t in tuples:
         if len(t.marginals) != k:
             raise SchemaError(f"tuple {t.id!r} has {len(t.marginals)} attributes, tree expects {k}")
     n = len(tuples)
-    table = np.zeros((n, k, 8))
-    table[..., _LO:_HI + 1] = np.reshape([t.active_box for t in tuples], (n, k, 2))
-    table[..., _MASS] = np.reshape([t.box_mass for t in tuples], (n, k))
-    for field, name in ((_MEAN, "mean"), (_SIGMA, "sigma"), (_NORM, "normalizer")):
-        table[..., field] = np.reshape([[getattr(m, name) for m in t.marginals] for t in tuples], (n, k))
-    cont = table[..., _SIGMA] != 0.0
-    bounds = table[..., _LO:_HI + 1][cont]
-    table[..., _CDF_LO:_CDF_HI + 1][cont] = _normal_cdf(
-        bounds, table[..., _MEAN, None][cont], table[..., _SIGMA, None][cont]
-    )
+    if table is None:
+        table = _tuple_table(tuples, k)
     tp = np.array([t.tp for t in tuples], dtype=float)
     return _Rows(table, tp, label, np.arange(n), np.zeros(n, dtype=np.intp))
+
+
+def _dataset_rows(dataset: Dataset) -> _Rows:
+    """``_node_rows`` of a dataset, with its labels, on its cached table."""
+    k = len(dataset.attribute_names)
+    return _node_rows(dataset.tuples, k, dataset.label_set, dataset._table)
 
 
 def _cut(col, s):
@@ -265,6 +263,10 @@ def _cut(col, s):
     a, b, mean, sigma = col[:, _LO], col[:, _HI], col[:, _MEAN], col[:, _SIGMA]
     cdf_a, cdf_b = col[:, _CDF_LO], col[:, _CDF_HI]
     point = sigma == 0.0
+    if point.all():  # certain values only: a point's box is its point and its CDF 0
+        mass, shape = col[:, _MASS], np.broadcast_shapes(np.shape(s), mean.shape)
+        left, right = np.where(s >= mean, mass, 0.0), np.where(s < mean, mass, 0.0)
+        return left, right, np.broadcast_to(mean, shape), np.broadcast_to(cdf_b, shape)
     sc = np.minimum(np.maximum(s, a), b)
     above_a, below_b = sc > a, sc < b
     cdf = np.where(below_b, cdf_a, cdf_b)
@@ -337,8 +339,8 @@ def _label_masses(rows: _Rows, n_segs: int, n_labels: int):
 def _side_masses(rows: _Rows, n_segs: int, n_labels: int, attr: int, s):
     """(nodes, C, labels) left and right label masses of cutting every row
     on ``attr`` at its thresholds ``s`` (n, C)."""
-    left, right, _, _ = _cut(rows.table[:, attr], s)
-    tp = _fragment_tp(rows.table[..., _MASS], attr, np.concatenate((left, right), axis=1))
+    cut = np.concatenate(_cut(rows.table[:, attr], s)[:2], axis=1)
+    tp = _fragment_tp(rows.table[..., _MASS], attr, cut)
     sums = _key_sums(rows.seg * n_labels + rows.label, n_segs * n_labels, tp)
     both = sums.reshape(n_segs, n_labels, 2, s.shape[1])
     return both[:, :, 0].transpose(0, 2, 1), both[:, :, 1].transpose(0, 2, 1)
@@ -385,7 +387,7 @@ def _gain_ratios(rows: _Rows, masses, values, valid, min_mass: float):
 def _node_stats(dataset: Dataset, s: SplitCandidate, min_mass: float):
     """(parent label masses, left and right label masses, left and right
     mass) of one split of the dataset."""
-    rows = _node_rows(dataset.tuples, len(dataset.attribute_names), dataset.label_set)
+    rows = _dataset_rows(dataset)
     n_labels = len(dataset.label_set)
     if not 0 <= s.attr < rows.table.shape[1]:
         raise IndexError(f"attribute index {s.attr} out of range")
@@ -461,7 +463,7 @@ def best_split(
     values, valid = np.zeros((1, k, width)), np.zeros((1, k, width), dtype=bool)
     for attr, vals in enumerate(by_attr):
         values[0, attr, :len(vals)], valid[0, attr, :len(vals)] = vals, True
-    rows = _node_rows(dataset.tuples, k, dataset.label_set)
+    rows = _dataset_rows(dataset)
     masses = _label_masses(rows, 1, len(dataset.label_set))
     ratios = _gain_ratios(rows, masses, values, valid, min_mass).ravel()
     best = int(ratios.argmax())
@@ -486,6 +488,8 @@ def _best_splits(rows: _Rows, masses, config: TreeConfig):
 
 def _select(rows: _Rows, keep) -> _Rows:
     """Rows of the frontier nodes where ``keep``, the nodes renumbered in order."""
+    if keep.all():
+        return rows
     out = rows.take(keep[rows.seg])
     out.seg = (np.cumsum(keep) - 1)[out.seg]
     return out
@@ -503,7 +507,7 @@ def build_tree(dataset: Dataset, config: TreeConfig) -> UncertainTree:
         raise TreeConstructionError("training dataset has zero mass")
 
     n_labels = len(dataset.label_set)
-    rows = _node_rows(dataset.tuples, len(dataset.attribute_names), dataset.label_set)
+    rows = _dataset_rows(dataset)
     plan, slots, depth = [], [None], 0
     while slots:
         masses = _label_masses(rows, len(slots), n_labels)
@@ -578,24 +582,33 @@ class _Flat:
 ROUTE_BLOCK = 512
 
 
-def _arrivals(tree: UncertainTree, tuples):
+def _arrivals(tree: UncertainTree, tuples, table=None):
     """(node, position, mass) arrays of every leaf the samples reach with
-    positive mass, yielded for ``ROUTE_BLOCK`` samples at a time.  The
-    frontier of each depth is cut in one pass until every row sits at a
-    leaf; rows at a leaf before that meet its NaN threshold and leave the
-    frontier."""
-    flat = tree._flat
+    positive mass, yielded for ``ROUTE_BLOCK`` samples at a time (``table``,
+    when given, is the samples' table).  The frontier of each depth is cut
+    in one pass until every row sits at a leaf; rows at a leaf before that
+    meet its NaN threshold and leave the frontier."""
     for start in range(0, len(tuples), ROUTE_BLOCK):
-        rows = _node_rows(tuples[start:start + ROUTE_BLOCK], len(tree.attribute_names))
+        block = slice(start, start + ROUTE_BLOCK)
+        block_table = None if table is None else table[block]
+        rows = _node_rows(tuples[block], len(tree.attribute_names), table=block_table)
         rows.pos += start
-        reached = [(rows.seg, rows.pos, rows.tp)]
-        while not flat.leaf[rows.seg].all():
-            side, rows = _partition(rows, flat.attr[rows.seg], flat.threshold[rows.seg])
-            rows.seg = flat.child[rows.seg, side]
-            reached.append((rows.seg, rows.pos, rows.tp))
-        node, pos, mass = (np.concatenate(r) for r in zip(*reached))
-        at_leaf = flat.leaf[node]
-        yield node[at_leaf], pos[at_leaf], mass[at_leaf]
+        yield _block_arrivals(tree._flat, rows)
+
+
+def _block_arrivals(flat: _Flat, rows: _Rows):
+    """``_arrivals`` of one block of rows: the rows that reach a leaf, depth
+    by depth.  Its frontier tables are freed on return, before the caller
+    uses the result."""
+    reached = []
+    while True:
+        at_leaf = flat.leaf[rows.seg]
+        reached.append((rows.seg[at_leaf], rows.pos[at_leaf], rows.tp[at_leaf]))
+        if at_leaf.all():
+            break
+        side, rows = _partition(rows, flat.attr[rows.seg], flat.threshold[rows.seg])
+        rows.seg = flat.child[rows.seg, side]
+    return tuple(np.concatenate(r) for r in zip(*reached))
 
 
 def route(tree: UncertainTree, tuples: Sequence[UncertainTuple]) -> list:
@@ -603,9 +616,14 @@ def route(tree: UncertainTree, tuples: Sequence[UncertainTuple]) -> list:
     positive mass, depth first with the right subtree before the left: the
     ascending indices into ``tuples`` of the samples that reach it and their
     arriving masses.  Labels are not read."""
+    return _route(tree, tuples)
+
+
+def _route(tree: UncertainTree, tuples, table=None) -> list:
+    """``route``, on the samples' table when it is given."""
     if not len(tuples):
         return []
-    node, pos, mass = (np.concatenate(r) for r in zip(*_arrivals(tree, tuples)))
+    node, pos, mass = (np.concatenate(r) for r in zip(*_arrivals(tree, tuples, table)))
     order = np.lexsort((pos, node))
     node, pos, mass = node[order], pos[order], mass[order]
     starts = np.flatnonzero(np.diff(node, prepend=-1)).tolist()
@@ -616,11 +634,16 @@ def route(tree: UncertainTree, tuples: Sequence[UncertainTuple]) -> list:
 def classify_batch(tree: UncertainTree, tuples: Sequence[UncertainTuple]) -> np.ndarray:
     """(samples x ``tree.label_set``) label probabilities: the reached leaves'
     distributions weighted by arriving mass, added leaf by leaf in ``route`` order."""
+    return _classify(tree, tuples)
+
+
+def _classify(tree: UncertainTree, tuples, table=None) -> np.ndarray:
+    """``classify_batch``, on the samples' table when it is given."""
     tp = np.array([t.tp for t in tuples], dtype=float)
     if (tp <= 0.0).any():
         raise InvalidParameterError("cannot classify a zero-mass tuple")
     lp = np.zeros((len(tuples), len(tree.label_set)))
-    for node, pos, mass in _arrivals(tree, tuples):
+    for node, pos, mass in _arrivals(tree, tuples, table):
         order = np.argsort(node, kind="stable")
         lp += _key_sums(pos[order], len(tuples), mass[order, None] * tree._flat.lp[node[order]])
     return lp / tp[:, None]
@@ -666,7 +689,7 @@ def test_accuracy(tree: UncertainTree, dataset: Dataset) -> float:
     actual label."""
     if not dataset.tuples:
         raise EmptyDatasetError("test accuracy undefined on an empty dataset")
-    lp = classify_batch(tree, dataset.tuples).tolist()
+    lp = _classify(tree, dataset.tuples, dataset._table).tolist()
     predicted = [predicted_label(dict(zip(tree.label_set, row))) for row in lp]
     return sum(1 for t, label in zip(dataset.tuples, predicted) if label == t.label) / len(lp)
 

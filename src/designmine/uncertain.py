@@ -13,11 +13,16 @@ in this module can be shared freely across threads.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
+from .csvtext import read_plain, read_text
 from .errors import (
     EmptyDatasetError,
     InconsistentCriteriaError,
@@ -46,8 +51,25 @@ __all__ = [
 ]
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def _std_normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    return 0.5 * (1.0 + math.erf(z / _SQRT2))
+
+
+def _elementwise(f, x):
+    """``f``, a function of one float, applied to each element of ``x``: the
+    same call on the same doubles as a Python loop, without the per-element
+    numpy overhead of ``np.frompyfunc``."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _normal_cdf(x, mean, sigma):
+    """``_std_normal_cdf((x - mean) / sigma)``, elementwise."""
+    z = (x - mean) / sigma
+    return 0.5 * (1.0 + _elementwise(math.erf, z / _SQRT2))
 
 
 @dataclass(frozen=True)
@@ -124,7 +146,11 @@ def interval_marginal(
     if not lower <= mean <= upper:
         raise InvalidParameterError(f"mean {mean} outside interval [{lower}, {upper}]")
     sigma = (upper - lower) / 6.0
-    raw = _std_normal_cdf((upper - mean) / sigma) - _std_normal_cdf((lower - mean) / sigma)
+    raw = 0.0
+    if sigma > 0.0:
+        raw = _std_normal_cdf((upper - mean) / sigma) - _std_normal_cdf((lower - mean) / sigma)
+    if not raw > 0.0:  # subnormal bounds: sigma or the mass rounds to 0
+        raise InvalidParameterError(f"interval [{lower}, {upper}] too narrow for a density")
     return TruncatedGaussianMarginal(lower, upper, mean, sigma, 1.0 / raw)
 
 
@@ -236,6 +262,35 @@ def partition_tuple(
     return left, right
 
 
+# --- the tuples as one array ------------------------------------------------------
+#
+# ``tree`` grows trees and routes samples on a dataset held as one (rows,
+# attributes, fields) float table.  The fields of a cell are the active box,
+# the box mass, the marginal, and the normal CDF at the box bounds (0 for
+# point marginals); a cut writes a left child's upper bound (_HI, _CDF_HI)
+# and a right child's lower one (_HI - 1, _CDF_HI - 1).
+_LO, _HI, _MASS, _MEAN, _SIGMA, _NORM, _CDF_LO, _CDF_HI = range(8)
+
+
+def _tuple_table(tuples, k: int):
+    """The table of ``tuples``, each with ``k`` marginals: the first six
+    fields read into one flat list, then the CDFs of the continuous cells."""
+    flat = [
+        x
+        for t in tuples
+        for m, (lo, hi), mass in zip(t.marginals, t.active_box, t.box_mass)
+        for x in (lo, hi, mass, m.mean, m.sigma, m.normalizer)
+    ]
+    table = np.zeros((len(tuples), k, 8))
+    table[..., :_CDF_LO] = np.reshape(np.array(flat, dtype=float), (len(tuples), k, _CDF_LO))
+    cont = table[..., _SIGMA] != 0.0
+    bounds = table[..., _LO:_HI + 1][cont]
+    table[..., _CDF_LO:_CDF_HI + 1][cont] = _normal_cdf(
+        bounds, table[..., _MEAN, None][cont], table[..., _SIGMA, None][cont]
+    )
+    return table
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An ordered collection of uncertain tuples over named attributes.
@@ -262,9 +317,20 @@ class Dataset:
                     f"tuple {t.id!r} has label {t.label!r} outside the label set"
                 )
 
+    @cached_property
+    def _table(self):
+        """The tuples' read-only table (see ``_tuple_table``); ``dataset_from_design``
+        fills it as it builds the tuples."""
+        return _read_only(_tuple_table(self.tuples, len(self.attribute_names)))
+
     def replace_tuples(self, tuples: Iterable[UncertainTuple]) -> "Dataset":
         """Same schema and origin mass, different tuples (used when splitting)."""
         return Dataset(self.attribute_names, self.label_set, tuple(tuples), self.origin_mass)
+
+
+def _read_only(table):
+    table.flags.writeable = False
+    return table
 
 
 def dataset_mass(dataset: Dataset) -> float:
@@ -300,16 +366,94 @@ def dataset_from_design(
     Each exact value is expanded to a truncated-Gaussian marginal with
     relative deviation ``uncertainty`` (0 keeps the data certain).  Tuple ids
     are 1-based row numbers.
+
+    The marginals of all cells are computed at once, in ``make_marginal``'s
+    operation order, and the dataset keeps their table.  Rows that are not
+    one float array, and cells ``make_marginal`` rejects, are built cell by
+    cell with ``make_marginal``, which raises its error for the first bad
+    cell.
     """
     if len(rows) != len(labels):
         raise InvalidParameterError("rows and labels must have equal length")
-    tuples = []
-    for i, (row, label) in enumerate(zip(rows, labels), start=1):
-        marginals = [make_marginal(float(v), uncertainty) for v in row]
-        tuples.append(fresh_tuple(i, marginals, label))
+    values = _float_rows(rows)
+    table = None if values is None else _fresh_table(values, uncertainty)
+    if table is None:
+        tuples = [
+            fresh_tuple(i, [make_marginal(float(v), uncertainty) for v in row], label)
+            for i, (row, label) in enumerate(zip(rows, labels), start=1)
+        ]
+    else:
+        tuples = _fresh_tuples(table, labels, uncertainty == 0.0)
     label_set = sorted(set(labels) if label_set is None else label_set)
-    ds = Dataset(tuple(attribute_names), tuple(label_set), tuple(tuples), 0.0)
-    return Dataset(ds.attribute_names, ds.label_set, ds.tuples, dataset_mass(ds))
+    ds = Dataset(tuple(attribute_names), tuple(label_set), tuple(tuples), sum(t.tp for t in tuples))
+    if table is not None:
+        vars(ds)["_table"] = _read_only(table)  # the slot ``cached_property`` fills
+    return ds
+
+
+def _float_rows(rows):
+    """``rows`` as an (n, k) float array when they are one: a 2-D float array,
+    or equal-length rows of Python floats; otherwise None."""
+    if isinstance(rows, np.ndarray):
+        return rows if rows.dtype == float and rows.ndim == 2 else None
+    if not all(type(v) is float for row in rows for v in row):
+        return None
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:  # rows of different lengths
+        return None
+    return values if values.ndim == 2 else None
+
+
+def _fresh_table(values, uncertainty: float):
+    """The table of the fresh tuples ``make_marginal`` and ``fresh_tuple``
+    make of ``values``, each field computed as they compute it; None when a
+    cell is one ``make_marginal`` rejects."""
+    if not (0.0 <= uncertainty < 1.0 and np.isfinite(values).all()):
+        return None
+    table = np.zeros(values.shape + (8,))
+    table[..., _MASS] = 1.0
+    table[..., _MEAN] = values
+    if uncertainty == 0.0:
+        table[..., _LO] = table[..., _HI] = values
+        table[..., _NORM] = 1.0
+        return table
+    with np.errstate(all="ignore"):
+        a = values * (1.0 - uncertainty)
+        b = values * (1.0 + uncertainty)
+        lower, upper = np.where(a < b, a, b), np.where(a < b, b, a)
+        sigma = (upper - lower) / 6.0
+        ok = (values != 0.0) & np.isfinite(lower) & np.isfinite(upper) & (lower < upper)
+        if not (ok & (lower <= values) & (values <= upper) & (sigma > 0.0)).all():
+            return None
+        cdf_lo, cdf_hi = _normal_cdf(lower, values, sigma), _normal_cdf(upper, values, sigma)
+        raw = cdf_hi - cdf_lo
+        if not (raw > 0.0).all():
+            return None
+    table[..., _LO], table[..., _HI], table[..., _SIGMA] = lower, upper, sigma
+    table[..., _NORM] = 1.0 / raw
+    table[..., _CDF_LO], table[..., _CDF_HI] = cdf_lo, cdf_hi
+    return table
+
+
+def _fresh_tuples(table, labels, point: bool) -> list:
+    """The tuples of a ``_fresh_table``, one row at a time: ids 1, 2, ...,
+    full boxes and unit masses, as ``fresh_tuple`` makes them."""
+    ones = (1.0,) * table.shape[1]
+    tuples = []
+    for i, label in enumerate(labels):
+        if point:
+            marginals = tuple([
+                TruncatedGaussianMarginal(v, v, v, 0.0, 1.0) for v in table[i, :, _MEAN].tolist()
+            ])
+        else:
+            marginals = tuple([
+                TruncatedGaussianMarginal(c[_LO], c[_HI], c[_MEAN], c[_SIGMA], c[_NORM])
+                for c in table[i].tolist()
+            ])
+        box = tuple([(m.lower, m.upper) for m in marginals])
+        tuples.append(UncertainTuple(i + 1, marginals, box, ones, label, 1.0))
+    return tuples
 
 
 def load_dataset(
@@ -321,7 +465,7 @@ def load_dataset(
     label set is declared, rows with labels outside it are rejected with the
     offending row named.
     """
-    names, rows, labels = _read_csv(path, expect_label=True)
+    names, values, labels = _read_csv(path, expect_label=True)
     if label_set is not None:
         declared = set(label_set)
         for i, label in enumerate(labels, start=2):
@@ -331,7 +475,7 @@ def load_dataset(
                     f"not in declared label set {sorted(declared)}"
                 )
     try:
-        return dataset_from_design(names, rows, labels, uncertainty, label_set)
+        return dataset_from_design(names, values, labels, uncertainty, label_set)
     except InvalidParameterError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
 
@@ -342,15 +486,38 @@ def load_design_points(path):
     Returns ``(attribute_names, rows, labels)`` with ``labels`` None when the
     file has no label column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline()
-    has_label = header.strip().split(",")[-1].strip() == "label"
-    names, rows, labels = _read_csv(path, expect_label=has_label)
-    return names, rows, (labels if has_label else None)
+    names, values, labels = _read_design_points(path)
+    return names, values.tolist(), labels
+
+
+def _read_design_points(path):
+    """``load_design_points`` with the rows as one (rows, attributes) array."""
+    first_line = read_text(path).split("\n", 1)[0].split("\r", 1)[0]
+    has_label = first_line.strip().split(",")[-1].strip() == "label"
+    names, values, labels = _read_csv(path, expect_label=has_label)
+    return names, values, (labels if has_label else None)
 
 
 def _read_csv(path, expect_label: bool):
-    with open(path, newline="", encoding="utf-8") as fh:
+    """``(attribute names, (rows, attributes) float array, labels)`` of a
+    dataset CSV: in one pass when the file is plain (``csvtext.read_plain``),
+    else row by row with ``csv``, which reports a malformed file's errors."""
+    plain = read_plain(path, text_column=-1 if expect_label else None)
+    if plain is not None:
+        header, lines, values = plain
+        names = header[:-1] if expect_label else header
+        if (header[-1] == "label" or not expect_label) and len(set(names)) == len(names):
+            labels = [line.rpartition(",")[2].strip() for line in lines] if expect_label else []
+            return names, values, labels
+    names, rows, labels = _read_csv_rows(path, expect_label)
+    return names, np.array(rows, dtype=float).reshape(len(rows), len(names)), labels
+
+
+def _read_csv_rows(path, expect_label: bool):
+    """``(names, rows, labels)`` read row by row with ``csv``: the reader of
+    quoted fields and bare CRs, and the one that names a malformed file's
+    first bad row."""
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -358,8 +525,9 @@ def _read_csv(path, expect_label: bool):
             raise IngestionError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         if expect_label:
-            if header[-1] != "label":
-                raise IngestionError(f"{path}: last column must be 'label', got {header[-1]!r}")
+            if not header or header[-1] != "label":
+                got = header[-1] if header else ""
+                raise IngestionError(f"{path}: last column must be 'label', got {got!r}")
             names = header[:-1]
         else:
             names = header

@@ -11,7 +11,8 @@ router grow a tree and route a sample tuple by tuple with ``partition_tuple``:
 they are the definitions the array core of ``designmine.tree`` must reproduce
 bit for bit.  The row-by-row point CSV reader is the definition the array
 reader of ``designmine.morph.load_points`` must reproduce: same ids, same
-coordinates, same error messages.
+coordinates, same error messages; the row-by-row dataset CSV reader is the
+one ``designmine.uncertain``'s one-pass dataset reader must reproduce.
 """
 
 import csv
@@ -378,3 +379,59 @@ def oracle_load_points(path):
             lineno, _ = next(itertools.islice(_data_rows(reader), bad, None))
         raise IngestionError(f"{path}: row {lineno}: non-finite coordinate")
     return ids, points
+
+
+# --- row-by-row dataset CSV reader -------------------------------------------
+
+
+def oracle_read_csv(path, expect_label: bool):
+    """``(names, rows, labels)`` of a dataset CSV, read row by row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestionError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if expect_label:
+            if header[-1] != "label":
+                raise IngestionError(f"{path}: last column must be 'label', got {header[-1]!r}")
+            names = header[:-1]
+        else:
+            names = header
+        if not names:
+            raise IngestionError(f"{path}: no attribute columns")
+        if len(set(names)) != len(names):
+            raise IngestionError(f"{path}: duplicate attribute names in header")
+        rows: list[list[float]] = []
+        labels: list[str] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise IngestionError(
+                    f"{path}: row {lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            values = []
+            for name, cell in zip(names, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise IngestionError(
+                        f"{path}: row {lineno}, column {name!r}: "
+                        f"could not parse {cell.strip()!r} as a number"
+                    ) from None
+            rows.append(values)
+            if expect_label:
+                labels.append(row[-1].strip())
+    return names, rows, labels
+
+
+def oracle_load_design_points(path):
+    """``(names, rows, labels)`` of a design-point CSV, ``labels`` None when
+    the header's last field is not ``label``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = fh.readline()
+    has_label = header.strip().split(",")[-1].strip() == "label"
+    names, rows, labels = oracle_read_csv(path, expect_label=has_label)
+    return names, rows, (labels if has_label else None)

@@ -440,6 +440,79 @@ def test_morph_id_mismatch_exits_2(tmp_path):
                "--nodes", str(tmp_path / "n.csv"), "--out", str(tmp_path / "x.csv")) == 2
 
 
+# --- input that is not UTF-8 --------------------------------------------------------
+
+
+def break_row(path, row):
+    """Put a byte that is not UTF-8 (0xE9, Latin-1 e-acute) at the start of
+    a 1-based row of a text file."""
+    lines = path.read_bytes().split(b"\n")
+    lines[row - 1] = b"\xe9" + lines[row - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+def assert_exits_2_naming(code, capsys, path, row):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error[IngestionError]: ")
+    assert f"{path}: row {row}: byte 0xe9 is not valid UTF-8" in err
+
+
+def test_train_on_a_csv_that_is_not_utf8_exits_2(dataset_csv, tmp_path, capsys):
+    break_row(dataset_csv, 3)
+    code = run("train", "--data", str(dataset_csv), "--out", str(tmp_path / "t.json"))
+    assert_exits_2_naming(code, capsys, dataset_csv, 3)
+
+
+@pytest.mark.parametrize("command, flag", [("screen", "--designs"), ("classify", "--data")])
+def test_screen_and_classify_on_designs_that_are_not_utf8_exit_2(
+    dataset_csv, tmp_path, capsys, command, flag
+):
+    tree = trained_tree(dataset_csv, tmp_path)
+    designs = tmp_path / "designs.csv"
+    designs.write_text("t,u\n1.5,2.0\n2.5,8.0\n", encoding="utf-8")
+    break_row(designs, 3)
+    capsys.readouterr()
+    code = run(command, "--tree", str(tree), flag, str(designs), "--out", str(tmp_path / "o.csv"))
+    assert_exits_2_naming(code, capsys, designs, 3)
+
+
+def test_morph_on_points_that_are_not_utf8_exits_2(tmp_path, capsys):
+    pts = np.random.default_rng(2).uniform(-1, 1, size=(5, 3))
+    ids = ["1", "2", "3", "4", "5"]
+    write_points(tmp_path / "o.csv", ids, pts)
+    write_points(tmp_path / "d.csv", ids, pts)
+    write_points(tmp_path / "n.csv", ["a", "b"], pts[:2])
+    break_row(tmp_path / "n.csv", 2)
+    code = run("morph", "--original", str(tmp_path / "o.csv"),
+               "--displaced", str(tmp_path / "d.csv"),
+               "--nodes", str(tmp_path / "n.csv"), "--out", str(tmp_path / "x.csv"))
+    assert_exits_2_naming(code, capsys, tmp_path / "n.csv", 2)
+
+
+@pytest.mark.parametrize("flag", ["--curve", "--histories"])
+def test_metrics_on_a_csv_that_is_not_utf8_exits_2(tmp_path, capsys, flag):
+    path = tmp_path / "in.csv"
+    if flag == "--curve":
+        path.write_text("u_m,F_kN\n0.0,1.0\n0.1,2.0\n", encoding="utf-8")
+    else:
+        path.write_text(
+            "t_s,s1_mm,s2_mm,s3_mm,s4_mm\n0.0,1,2,3,4\n0.05,1,2,3,4\n", encoding="utf-8"
+        )
+    break_row(path, 2)
+    code = run("metrics", flag, str(path), "--out", str(tmp_path / "m.json"))
+    assert_exits_2_naming(code, capsys, path, 2)
+
+
+def test_train_on_a_csv_with_a_blank_first_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("\na,label\n1.0,g\n", encoding="utf-8")
+    assert run("train", "--data", str(path), "--out", str(tmp_path / "t.json")) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "last column must be 'label', got ''" in err
+
+
 # --- cv ---------------------------------------------------------------------------
 
 

@@ -60,17 +60,18 @@ MEANS = st.one_of(st.integers(1, 6).map(float), st.floats(0.5, 10.0))
 
 
 @st.composite
-def datasets(draw):
+def datasets(draw, deviations=DEVIATIONS):
     """1-4 attributes, 2-3 labels (not all of them present), mixed point and
-    interval marginals; sometimes every tuple is first cut once, so the root
-    holds fragments with narrowed boxes and masses below 1."""
+    interval marginals (``deviations``); sometimes every tuple is first cut
+    once, so the root holds fragments with narrowed boxes and masses below
+    1."""
     k = draw(st.integers(1, 4))
     label_set = ("a", "b", "c")[: draw(st.integers(2, 3))]
     n = draw(st.integers(1, 24))
     used = draw(st.sampled_from([label_set, label_set[:1], label_set[1:]]))
     tuples = []
     for i in range(n):
-        marginals = [make_marginal(draw(MEANS), draw(DEVIATIONS)) for _ in range(k)]
+        marginals = [make_marginal(draw(MEANS), draw(deviations)) for _ in range(k)]
         tuples.append(fresh_tuple(i + 1, marginals, draw(st.sampled_from(used))))
     if draw(st.booleans()):
         attr = draw(st.integers(0, k - 1))
@@ -96,6 +97,20 @@ def test_build_tree_equals_scalar_reference(ds, config):
     assert tree_to_dict(tree) == tree_to_dict(oracle_build(ds, config))
     leaf_mass = sum(leaf.mass for leaf in iter_leaves(tree))
     assert leaf_mass == pytest.approx(dataset_mass(ds), rel=1e-9)
+
+
+# Certain values only, as R = 0 data gives: every cut takes the point rule.
+POINT_DATASETS = datasets(deviations=st.just(0.0))
+
+
+@PARITY
+@given(POINT_DATASETS, CONFIGS)
+def test_point_only_build_equals_scalar_reference(ds, config):
+    assert all(m.is_point for t in ds.tuples for m in t.marginals)
+    tree = build_tree(ds, config)
+    assert tree_to_dict(tree) == tree_to_dict(oracle_build(ds, config))
+    for t in ds.tuples[:4]:
+        assert classify(tree, t) == oracle_classify(tree, t)
 
 
 @PARITY
