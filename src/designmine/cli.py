@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .atomic import atomic_open
+from .csvtext import read_json
 from .doe import GENERATOR, SamplingPlan, lhs, sample_count_heuristic, save_samples
 from .errors import (
     ConditioningError,
@@ -50,7 +51,7 @@ from .tree import (
     save_tree,
     training_accuracy,
 )
-from .uncertain import _read_design_points, dataset_from_design, load_dataset
+from .uncertain import _HI, _LO, _read_design_points, dataset_from_design, load_dataset
 
 
 # --- output plumbing ----------------------------------------------------------
@@ -131,8 +132,7 @@ def _load_bounds_file(path, attribute_names=None):
     """(names, bounds) from a JSON object of ``name: [lo, hi]`` pairs: every
     entry in file order, or only ``attribute_names`` in that order.  Anything
     else raises ``IngestionError`` naming the file and the attribute."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise IngestionError(f"{path}: bounds must be a JSON object of [lo, hi] pairs")
     names = list(data) if attribute_names is None else list(attribute_names)
@@ -148,12 +148,10 @@ def _load_bounds_file(path, attribute_names=None):
 
 
 def _data_extent_bounds(dataset):
-    bounds = []
-    for attr in range(len(dataset.attribute_names)):
-        lo = min(t.marginals[attr].lower for t in dataset.tuples)
-        hi = max(t.marginals[attr].upper for t in dataset.tuples)
-        bounds.append((lo, hi))
-    return bounds
+    table = dataset._rows.table
+    if not len(table):
+        raise EmptyDatasetError("design bounds undefined on an empty dataset")
+    return list(zip(table[..., _LO].min(axis=0).tolist(), table[..., _HI].max(axis=0).tolist()))
 
 
 def _design_tuples(path, uncertainty, expected_names, label="g"):
@@ -212,8 +210,7 @@ def cmd_sample(args) -> int:
     run = Run("sample", args)
     if args.rules:
         run.add_input(args.rules)
-        with open(args.rules, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = read_json(args.rules)
         try:
             rule = rule_from_payload(payload, args.branch)
         except (IngestionError, InvalidParameterError) as exc:
@@ -507,7 +504,6 @@ _EXIT_CODES = (
             InconsistentCriteriaError,
             SchemaError,
             OSError,
-            json.JSONDecodeError,
         ),
         2,
     ),

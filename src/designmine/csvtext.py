@@ -1,23 +1,25 @@
-"""The text of an input CSV: decoded once, and parsed in one pass when it is plain.
+"""The text of an input file: decoded once, and a CSV parsed in one pass when it is plain.
 
-Every CSV reader in the package decodes its file with ``read_text``, so a file
-that is not UTF-8 is an ``IngestionError`` naming the file and the row of the
-first bad byte.  ``read_plain`` is the fast path of the dataset and point
-readers: a well-formed file with no quoting is split into lines and its number
-columns parsed by one ``np.loadtxt`` call.  Any other file is left to the
-reader's ``csv`` row loop, which reads quoted fields and bare CRs and is the
-one that says what is wrong with a malformed file.
+Every CSV and JSON reader in the package decodes its file with ``read_text``,
+so a file that is not UTF-8 is an ``IngestionError`` naming the file and the
+row of the first bad byte; ``read_json`` also names the file of JSON it cannot
+parse.  ``split_plain`` is the fast path of the dataset and point readers: a
+well-formed file with no quoting is split into lines and its number columns
+parsed by one ``np.loadtxt`` call.  Any other file is left to the reader's
+``csv`` row loop, which reads quoted fields and bare CRs and is the one that
+says what is wrong with a malformed file.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 
 import numpy as np
 
 from .errors import IngestionError
 
-__all__ = ["ROW_READER_CHARS", "read_text", "read_plain"]
+__all__ = ["ROW_READER_CHARS", "read_text", "read_json", "read_plain", "split_plain"]
 
 #: Characters that send a file to the row reader: a quote (CSV quoting), a
 #: bare CR (a line break ``str.split("\n")`` does not see), NUL (which
@@ -42,9 +44,26 @@ def read_text(path) -> str:
         ) from None
 
 
+def read_json(path):
+    """The JSON value of a file: text that ``read_text`` decodes, or JSON
+    that ``json`` cannot parse, raises ``IngestionError`` naming the file."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise IngestionError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise IngestionError(f"{path}: JSON nested too deeply to load") from None
+
+
 def read_plain(path, text_column):
-    """``(header fields, data lines, numbers)`` of a CSV file in one pass, or
-    None when the file needs the row reader.
+    """``split_plain`` of the file's text."""
+    return split_plain(read_text(path), text_column)
+
+
+def split_plain(text, text_column):
+    """``(header fields, data lines, numbers)`` of a CSV file's text in one
+    pass, or None when the file needs the row reader.
 
     Fields of the header are stripped; data lines are the non-blank lines
     after it, CRLF read as LF.  Every column but ``text_column`` (0, -1 or
@@ -53,7 +72,7 @@ def read_plain(path, text_column):
     non-empty header and at least one data line, every line as many fields
     as the header and none longer than ``csv.field_size_limit()``.
     """
-    text = read_text(path).replace("\r\n", "\n")
+    text = text.replace("\r\n", "\n")
     if any(c in text for c in ROW_READER_CHARS):
         return None
     header, _, body = text.partition("\n")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .csvtext import read_text
 from .errors import IngestionError, InvalidParameterError
+from .uncertain import _total
 
 __all__ = [
     "ForceDeflectionCurve",
@@ -139,7 +140,7 @@ def total_mass(masses: Sequence[float]) -> float:
     """Summed component masses (kg)."""
     if len(masses) == 0:
         raise InvalidParameterError("no component masses given")
-    return float(sum(masses))
+    return float(_total(masses))
 
 
 def sea(curve: ForceDeflectionCurve, mass: float) -> float:

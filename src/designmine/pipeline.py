@@ -23,7 +23,7 @@ from .rules import (
 )
 from .surrogate import ComponentSpec, SurrogateSpec, surrogate_respond
 from .tree import UncertainTree, TreeConfig, build_tree, training_accuracy
-from .uncertain import Dataset, apply_labels, dataset_from_design
+from .uncertain import Dataset, _total, apply_labels, dataset_from_design
 
 __all__ = ["ComponentResult", "SystemDesign", "run_component", "recombine", "run_demo"]
 
@@ -61,7 +61,7 @@ class SystemDesign:
 
     @property
     def total_mass(self) -> float:
-        return sum(r["M"] for r in self.responses.values())
+        return float(_total([r["M"] for r in self.responses.values()]))
 
 
 def run_component(

@@ -23,8 +23,8 @@ from .errors import (
     InvalidParameterError,
     SelectionError,
 )
-from .tree import UncertainTree, LeafNode, _route, classify_batch
-from .uncertain import Dataset, LabelCriteria, UncertainTuple, dataset_mass
+from .tree import UncertainTree, LeafNode, classify_batch, route
+from .uncertain import Dataset, LabelCriteria, UncertainTuple, _total, dataset_mass
 
 __all__ = [
     "Branch",
@@ -187,18 +187,20 @@ def branch_to_rule(
 
 def _leaf_ctt(tree: UncertainTree, d_origin: Dataset, targets) -> dict:
     """CTT of every leaf whose dominant label is in ``targets``, keyed by
-    ``id(leaf)``: the samples labelled with a target are routed in one batch,
+    ``id(leaf)``: the rows labelled with a target are routed in one batch,
     and each leaf adds up the arriving masses of those labelled with its
-    dominant label in ``d_origin`` order (``cumsum`` adds in row order)."""
+    dominant label in ``d_origin`` order."""
     total = dataset_mass(d_origin)
     if total <= 0.0:
         raise EmptyDatasetError("CTT undefined on a zero-mass dataset")
-    keep = np.array([t.label in targets for t in d_origin.tuples], dtype=bool)
-    routed = [t for t, kept in zip(d_origin.tuples, keep.tolist()) if kept]
-    labels = np.array([t.label for t in routed], dtype=object)
-    arrivals = _route(tree, routed, d_origin._table[keep])
-    hits = ((leaf, mass[labels[pos] == leaf.dominant]) for leaf, pos, mass in arrivals)
-    return {id(leaf): float(hit.cumsum()[-1]) / total for leaf, hit in hits if len(hit)}
+    rows = d_origin._rows
+    index = {label: j for j, label in enumerate(d_origin.label_set)}
+    target_rows = rows.take(np.isin(rows.label, [index[t] for t in targets if t in index]))
+    hits = (
+        (leaf, mass[target_rows.label[pos] == index.get(leaf.dominant, -1)])
+        for leaf, pos, mass in route(tree, target_rows)
+    )
+    return {id(leaf): float(_total(hit)) / total for leaf, hit in hits if len(hit)}
 
 
 def branch_ctt(tree: UncertainTree, branch: Branch, d_origin: Dataset) -> float:

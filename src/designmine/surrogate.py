@@ -11,12 +11,12 @@ deterministic functions of the design vector.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .csvtext import read_json
 from .errors import IngestionError, InvalidParameterError
 from .metrics import (
     ForceDeflectionCurve,
@@ -198,22 +198,19 @@ def _component(data) -> ComponentSpec:
             history_points=int(histories.get("points", 40)),
             duration_s=float(histories.get("duration_s", 0.09)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"malformed surrogate component: {exc}") from exc
 
 
 def load_surrogate(source) -> SurrogateSpec:
     """Read a surrogate spec from a JSON file path or a parsed dict."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = source
+    is_path = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
+    data = read_json(source) if is_path else source
     try:
         return SurrogateSpec(
             name=str(data["name"]),
             version=int(data.get("version", 1)),
             components=tuple(_component(c) for c in data["components"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise IngestionError(f"malformed surrogate spec: {exc}") from exc

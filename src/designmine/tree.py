@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .atomic import atomic_open
+from .csvtext import read_json
 from .errors import (
     EmptyDatasetError,
     IngestionError,
@@ -38,8 +39,10 @@ from .uncertain import (
     Dataset,
     UncertainTuple,
     _elementwise,
+    _node_rows,
     _normal_cdf,
-    _tuple_table,
+    _Rows,
+    _total,
     dataset_mass,
     label_masses,
 )
@@ -157,14 +160,6 @@ def _plog2(p):
     return p * _elementwise(math.log2, p)
 
 
-def _total(masses):
-    """Sum over the last axis, added in order from 0.0 as Python's ``sum`` adds."""
-    total = np.zeros(np.shape(masses)[:-1])
-    for m in np.moveaxis(masses, -1, 0):
-        total = total + m
-    return total
-
-
 def _entropy_of(masses, total):
     """Label entropy of label masses (last axis) over their total, in bits:
     ``-p * log2(p)`` subtracted label by label from 0.0 where the mass is
@@ -181,7 +176,7 @@ def _entropy_of(masses, total):
 def entropy(dataset: Dataset) -> float:
     """Label entropy of the dataset's mass distribution, in bits."""
     masses = list(label_masses(dataset).values())
-    total = sum(masses)
+    total = _total(masses)
     if total <= 0.0:
         raise EmptyDatasetError("entropy undefined on an empty dataset")
     return float(_entropy_of(masses, total))
@@ -197,55 +192,9 @@ def entropy(dataset: Dataset) -> float:
 # bit-identical to growing them tuple by tuple with ``partition_tuple``.
 #
 # Both work one depth at a time: the rows of every node at a depth (the
-# frontier) sit in one table (``uncertain._tuple_table``), each tagged with
-# its node, and each step is one numpy pass over the whole frontier.  A
-# dataset's table is built once and cached on it (``Dataset._table``).
-
-
-class _Rows:
-    """Tuple fragments as arrays: ``table`` is (n rows, k attributes, fields);
-    ``tp`` holds the fragment masses, ``label`` the index of each row's label
-    in the label set, ``pos`` its index in the input and ``seg`` the node it
-    sits at: a frontier node while growing, a tree node index while routing.
-
-    The rows of each node stay in input order, which is the order every sum
-    over them is taken in.  The active box of a continuous marginal lies
-    inside the marginal's interval, as ``fresh_tuple`` and ``partition_tuple``
-    keep it.
-    """
-
-    __slots__ = ("table", "tp", "label", "pos", "seg")
-
-    def __init__(self, table, tp, label, pos, seg):
-        self.table, self.tp, self.label, self.pos, self.seg = table, tp, label, pos, seg
-
-    def take(self, index) -> "_Rows":
-        return _Rows(
-            self.table[index], self.tp[index], self.label[index], self.pos[index], self.seg[index]
-        )
-
-
-def _node_rows(tuples, k: int, label_set=(), table=None) -> _Rows:
-    """Rows of ``tuples`` with ``k`` attributes at node 0, labels indexed in
-    ``label_set`` (without a label set, labels are not read); ``table`` is
-    their table when it is at hand, such as a dataset's cached one, which is
-    read and never written."""
-    index = {label: j for j, label in enumerate(label_set)}
-    label = np.array([index[t.label] if index else 0 for t in tuples], dtype=np.intp)
-    for t in tuples:
-        if len(t.marginals) != k:
-            raise SchemaError(f"tuple {t.id!r} has {len(t.marginals)} attributes, tree expects {k}")
-    n = len(tuples)
-    if table is None:
-        table = _tuple_table(tuples, k)
-    tp = np.array([t.tp for t in tuples], dtype=float)
-    return _Rows(table, tp, label, np.arange(n), np.zeros(n, dtype=np.intp))
-
-
-def _dataset_rows(dataset: Dataset) -> _Rows:
-    """``_node_rows`` of a dataset, with its labels, on its cached table."""
-    k = len(dataset.attribute_names)
-    return _node_rows(dataset.tuples, k, dataset.label_set, dataset._table)
+# frontier) sit in one ``uncertain._Rows``, each tagged with its node, and
+# each step is one numpy pass over the whole frontier.  A dataset's rows are
+# built once and cached on it (``Dataset._rows``).
 
 
 def _cut(col, s):
@@ -387,7 +336,7 @@ def _gain_ratios(rows: _Rows, masses, values, valid, min_mass: float):
 def _node_stats(dataset: Dataset, s: SplitCandidate, min_mass: float):
     """(parent label masses, left and right label masses, left and right
     mass) of one split of the dataset."""
-    rows = _dataset_rows(dataset)
+    rows = dataset._rows
     n_labels = len(dataset.label_set)
     if not 0 <= s.attr < rows.table.shape[1]:
         raise IndexError(f"attribute index {s.attr} out of range")
@@ -428,11 +377,10 @@ def gen_split_candidates(dataset: Dataset, n: int) -> list:
     The grid spans the union of the active boxes at this node; attributes
     whose extent has collapsed contribute no candidates.
     """
-    k = len(dataset.attribute_names)
-    if not dataset.tuples:
+    table = dataset._rows.table
+    if not len(table):
         return []
-    box = np.array([t.active_box for t in dataset.tuples], dtype=float).reshape(-1, k, 2)
-    values, valid = _grid(box[..., 0].min(axis=0), box[..., 1].max(axis=0), n)
+    values, valid = _grid(table[..., _LO].min(axis=0), table[..., _HI].max(axis=0), n)
     return [SplitCandidate(a, v) for a, v in zip(valid.nonzero()[0].tolist(), values[valid].tolist())]
 
 
@@ -463,7 +411,7 @@ def best_split(
     values, valid = np.zeros((1, k, width)), np.zeros((1, k, width), dtype=bool)
     for attr, vals in enumerate(by_attr):
         values[0, attr, :len(vals)], valid[0, attr, :len(vals)] = vals, True
-    rows = _dataset_rows(dataset)
+    rows = dataset._rows
     masses = _label_masses(rows, 1, len(dataset.label_set))
     ratios = _gain_ratios(rows, masses, values, valid, min_mass).ravel()
     best = int(ratios.argmax())
@@ -499,7 +447,8 @@ def build_tree(dataset: Dataset, config: TreeConfig) -> UncertainTree:
     """Grow the tree until purity, candidate exhaustion, or the layer cap,
     one depth at a time: every node at a depth is scored and split in one
     pass."""
-    if not dataset.tuples:
+    rows = dataset._rows
+    if not len(rows):
         raise TreeConstructionError("cannot build a tree from an empty dataset")
     if not dataset.label_set:
         raise TreeConstructionError("dataset declares no labels")
@@ -507,7 +456,6 @@ def build_tree(dataset: Dataset, config: TreeConfig) -> UncertainTree:
         raise TreeConstructionError("training dataset has zero mass")
 
     n_labels = len(dataset.label_set)
-    rows = _dataset_rows(dataset)
     plan, slots, depth = [], [None], 0
     while slots:
         masses = _label_masses(rows, len(slots), n_labels)
@@ -528,14 +476,13 @@ def build_tree(dataset: Dataset, config: TreeConfig) -> UncertainTree:
             split[split] = both
             rows = _select(rows, np.repeat(both, 2))
         next_slots = []
-        for i, (slot, m) in enumerate(zip(slots, masses.tolist())):
+        for i, (slot, m, total) in enumerate(zip(slots, masses.tolist(), _total(masses).tolist())):
             if slot is not None:
                 plan[slot[0]][slot[1]] = len(plan)
             if split[i]:
                 next_slots += [(len(plan), 2), (len(plan), 3)]
                 plan.append([int(attr[i]), float(value[i]), None, None])
             else:
-                total = sum(m)
                 plan.append(LeafNode({label: x / total for label, x in zip(dataset.label_set, m)}, total))
         slots, depth = next_slots, depth + 1
     return UncertainTree(dataset.attribute_names, dataset.label_set, _link(plan), config)
@@ -582,24 +529,27 @@ class _Flat:
 ROUTE_BLOCK = 512
 
 
-def _arrivals(tree: UncertainTree, tuples, table=None):
-    """(node, position, mass) arrays of every leaf the samples reach with
-    positive mass, yielded for ``ROUTE_BLOCK`` samples at a time (``table``,
-    when given, is the samples' table).  The frontier of each depth is cut
-    in one pass until every row sits at a leaf; rows at a leaf before that
-    meet its NaN threshold and leave the frontier."""
-    for start in range(0, len(tuples), ROUTE_BLOCK):
+def _blocks(tree: UncertainTree, samples):
+    """``(block, rows)`` of ``ROUTE_BLOCK`` samples at a time: ``block`` is
+    their slice of ``samples``, which are a dataset's rows (``Dataset._rows``)
+    or a sequence of tuples, converted here a block at a time.  A row's
+    ``pos`` is its index in ``samples``."""
+    k = len(tree.attribute_names)
+    if isinstance(samples, _Rows) and samples.table.shape[1] != k:
+        raise SchemaError(f"rows have {samples.table.shape[1]} attributes, tree expects {k}")
+    for start in range(0, len(samples), ROUTE_BLOCK):
         block = slice(start, start + ROUTE_BLOCK)
-        block_table = None if table is None else table[block]
-        rows = _node_rows(tuples[block], len(tree.attribute_names), table=block_table)
-        rows.pos += start
-        yield _block_arrivals(tree._flat, rows)
+        rows = samples.take(block) if isinstance(samples, _Rows) else _node_rows(samples[block], k)
+        rows.pos = np.arange(start, start + len(rows))
+        yield block, rows
 
 
 def _block_arrivals(flat: _Flat, rows: _Rows):
-    """``_arrivals`` of one block of rows: the rows that reach a leaf, depth
-    by depth.  Its frontier tables are freed on return, before the caller
-    uses the result."""
+    """(node, position, mass) arrays of every leaf a block of rows reaches
+    with positive mass.  The frontier of each depth is cut in one pass until
+    every row sits at a leaf; rows at a leaf before that meet its NaN
+    threshold and leave the frontier.  Its frontier tables are freed on
+    return, before the caller uses the result."""
     reached = []
     while True:
         at_leaf = flat.leaf[rows.seg]
@@ -614,16 +564,12 @@ def _block_arrivals(flat: _Flat, rows: _Rows):
 def route(tree: UncertainTree, tuples: Sequence[UncertainTuple]) -> list:
     """``(leaf, positions, masses)`` for each leaf the batch reaches with
     positive mass, depth first with the right subtree before the left: the
-    ascending indices into ``tuples`` of the samples that reach it and their
-    arriving masses.  Labels are not read."""
-    return _route(tree, tuples)
-
-
-def _route(tree: UncertainTree, tuples, table=None) -> list:
-    """``route``, on the samples' table when it is given."""
+    ascending indices into ``tuples`` (or a dataset's rows) of the samples
+    that reach it and their arriving masses.  Labels are not read."""
     if not len(tuples):
         return []
-    node, pos, mass = (np.concatenate(r) for r in zip(*_arrivals(tree, tuples, table)))
+    arrivals = (_block_arrivals(tree._flat, rows) for _, rows in _blocks(tree, tuples))
+    node, pos, mass = (np.concatenate(r) for r in zip(*arrivals))
     order = np.lexsort((pos, node))
     node, pos, mass = node[order], pos[order], mass[order]
     starts = np.flatnonzero(np.diff(node, prepend=-1)).tolist()
@@ -632,21 +578,18 @@ def _route(tree: UncertainTree, tuples, table=None) -> list:
 
 
 def classify_batch(tree: UncertainTree, tuples: Sequence[UncertainTuple]) -> np.ndarray:
-    """(samples x ``tree.label_set``) label probabilities: the reached leaves'
-    distributions weighted by arriving mass, added leaf by leaf in ``route`` order."""
-    return _classify(tree, tuples)
-
-
-def _classify(tree: UncertainTree, tuples, table=None) -> np.ndarray:
-    """``classify_batch``, on the samples' table when it is given."""
-    tp = np.array([t.tp for t in tuples], dtype=float)
-    if (tp <= 0.0).any():
-        raise InvalidParameterError("cannot classify a zero-mass tuple")
+    """(samples x ``tree.label_set``) label probabilities of ``tuples`` (or a
+    dataset's rows): the reached leaves' distributions weighted by arriving
+    mass, added leaf by leaf in ``route`` order."""
     lp = np.zeros((len(tuples), len(tree.label_set)))
-    for node, pos, mass in _arrivals(tree, tuples, table):
+    for block, rows in _blocks(tree, tuples):
+        if (rows.tp <= 0.0).any():
+            raise InvalidParameterError("cannot classify a zero-mass tuple")
+        node, pos, mass = _block_arrivals(tree._flat, rows)
         order = np.argsort(node, kind="stable")
-        lp += _key_sums(pos[order], len(tuples), mass[order, None] * tree._flat.lp[node[order]])
-    return lp / tp[:, None]
+        weighted = mass[order, None] * tree._flat.lp[node[order]]
+        lp[block] = _key_sums(pos[order] - block.start, len(rows), weighted) / rows.tp[:, None]
+    return lp
 
 
 def classify(tree: UncertainTree, t: UncertainTuple) -> dict:
@@ -680,18 +623,20 @@ def training_accuracy(tree: UncertainTree, dataset: Dataset) -> float:
     n_m = len(dataset.tuples)
     if n_m == 0:
         raise EmptyDatasetError("training accuracy undefined on an empty dataset")
-    correct = sum(leaf.lp[leaf.dominant] * leaf.mass for leaf in iter_leaves(tree))
-    return correct / n_m
+    correct = _total([leaf.lp[leaf.dominant] * leaf.mass for leaf in iter_leaves(tree)])
+    return float(correct) / n_m
 
 
 def test_accuracy(tree: UncertainTree, dataset: Dataset) -> float:
     """Fraction of samples whose most probable predicted label matches their
-    actual label."""
-    if not dataset.tuples:
+    actual label (ties go to the lexicographically smallest label)."""
+    rows = dataset._rows
+    if not len(rows):
         raise EmptyDatasetError("test accuracy undefined on an empty dataset")
-    lp = _classify(tree, dataset.tuples, dataset._table).tolist()
-    predicted = [predicted_label(dict(zip(tree.label_set, row))) for row in lp]
-    return sum(1 for t, label in zip(dataset.tuples, predicted) if label == t.label) / len(lp)
+    by_name = sorted(range(len(tree.label_set)), key=tree.label_set.__getitem__)
+    best = classify_batch(tree, rows)[:, by_name].argmax(axis=1)
+    predicted = np.array(tree.label_set)[by_name][best]
+    return int((predicted == np.array(dataset.label_set)[rows.label]).sum()) / len(rows)
 
 
 def k_fold_cv(dataset: Dataset, k: int, config: TreeConfig):
@@ -701,22 +646,11 @@ def k_fold_cv(dataset: Dataset, k: int, config: TreeConfig):
         raise InvalidParameterError(f"k must be in [2, {n}], got {k}")
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(n)
-    folds = np.array_split(order, k)
     accuracies = []
-    for fold in folds:
-        test_idx = set(int(i) for i in fold)
-        train = [dataset.tuples[i] for i in range(n) if i not in test_idx]
-        test = [dataset.tuples[int(i)] for i in fold]
-        train_ds = Dataset(
-            dataset.attribute_names,
-            dataset.label_set,
-            tuple(train),
-            sum(t.tp for t in train),
-        )
-        test_ds = dataset.replace_tuples(test)
-        tree = build_tree(train_ds, config)
-        accuracies.append(test_accuracy(tree, test_ds))
-    return sum(accuracies) / len(accuracies), accuracies
+    for fold in np.array_split(order, k):
+        tree = build_tree(dataset._take(np.setdiff1d(order, fold)), config)
+        accuracies.append(test_accuracy(tree, dataset._take(fold)))
+    return float(_total(accuracies)) / len(accuracies), accuracies
 
 
 # --- persistence -------------------------------------------------------------
@@ -837,11 +771,7 @@ def save_tree(tree: UncertainTree, path) -> None:
 
 
 def load_tree(path) -> UncertainTree:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise IngestionError(f"{path}: JSON nested too deeply to load") from None
+    data = read_json(path)
     try:
         return tree_from_dict(data)
     except IngestionError as exc:

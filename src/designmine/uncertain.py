@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,12 +21,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .csvtext import read_plain, read_text
+from .csvtext import read_json, read_text, split_plain
 from .errors import (
     EmptyDatasetError,
     InconsistentCriteriaError,
     IngestionError,
     InvalidParameterError,
+    SchemaError,
 )
 
 __all__ = [
@@ -264,17 +264,70 @@ def partition_tuple(
 
 # --- the tuples as one array ------------------------------------------------------
 #
-# ``tree`` grows trees and routes samples on a dataset held as one (rows,
-# attributes, fields) float table.  The fields of a cell are the active box,
-# the box mass, the marginal, and the normal CDF at the box bounds (0 for
-# point marginals); a cut writes a left child's upper bound (_HI, _CDF_HI)
-# and a right child's lower one (_HI - 1, _CDF_HI - 1).
+# Library code reads a dataset as rows: one (rows, attributes, fields) float
+# table plus the row masses and label indices.  ``tree`` grows trees and
+# routes samples on such rows.  The fields of a cell are the active box, the
+# box mass, the marginal, and the normal CDF at the box bounds (0 for point
+# marginals); a cut writes a left child's upper bound (_HI, _CDF_HI) and a
+# right child's lower one (_HI - 1, _CDF_HI - 1).
 _LO, _HI, _MASS, _MEAN, _SIGMA, _NORM, _CDF_LO, _CDF_HI = range(8)
 
 
-def _tuple_table(tuples, k: int):
-    """The table of ``tuples``, each with ``k`` marginals: the first six
-    fields read into one flat list, then the CDFs of the continuous cells."""
+def _total(x):
+    """Sum over the last axis, added in order from 0.0 as a Python loop adds
+    (``cumsum`` adds in order; adding 0.0 turns a -0.0 total into 0.0).
+    Python's own ``sum`` of floats compensates from 3.12 on, so every sum
+    whose order is pinned goes through here."""
+    x = np.asarray(x, dtype=float)
+    if not x.shape[-1]:
+        return np.zeros(x.shape[:-1])
+    return 0.0 + np.cumsum(x, axis=-1)[..., -1]
+
+
+class _Rows:
+    """Tuple fragments as arrays: ``table`` is (n rows, k attributes, fields);
+    ``tp`` holds the fragment masses, ``label`` the index of each row's label
+    in the label set, ``pos`` its index in the input and ``seg`` the node it
+    sits at: a frontier node while growing, a tree node index while routing.
+
+    The rows of each node stay in input order, which is the order every sum
+    over them is taken in.  The active box of a continuous marginal lies
+    inside the marginal's interval, as ``fresh_tuple`` and ``partition_tuple``
+    keep it.
+    """
+
+    __slots__ = ("table", "tp", "label", "pos", "seg")
+
+    def __init__(self, table, tp, label, pos, seg):
+        self.table, self.tp, self.label, self.pos, self.seg = table, tp, label, pos, seg
+
+    @classmethod
+    def at_root(cls, table, tp, label) -> "_Rows":
+        """Rows at node 0 in positions 0, 1, ..., every array read-only, so
+        the rows can be shared: growth and routing take before they write.
+        The node tags are one 0 broadcast, which allocates nothing."""
+        arrays = (table, tp, label, np.arange(len(tp)), np.broadcast_to(np.intp(0), (len(tp),)))
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays)
+
+    def __len__(self) -> int:
+        return len(self.tp)
+
+    def take(self, index) -> "_Rows":
+        return _Rows(
+            self.table[index], self.tp[index], self.label[index], self.pos[index], self.seg[index]
+        )
+
+
+def _node_rows(tuples, k: int, label_set=()) -> _Rows:
+    """Read-only rows of ``tuples`` with ``k`` attributes at node 0, labels
+    indexed in ``label_set`` (without a label set, labels are not read).  The
+    first six fields of the table are read into one flat list, then the CDFs
+    of the continuous cells are computed."""
+    for t in tuples:
+        if len(t.marginals) != k:
+            raise SchemaError(f"tuple {t.id!r} has {len(t.marginals)} attributes, tree expects {k}")
     flat = [
         x
         for t in tuples
@@ -288,15 +341,20 @@ def _tuple_table(tuples, k: int):
     table[..., _CDF_LO:_CDF_HI + 1][cont] = _normal_cdf(
         bounds, table[..., _MEAN, None][cont], table[..., _SIGMA, None][cont]
     )
-    return table
+    index = {label: j for j, label in enumerate(label_set)}
+    label = np.array([index[t.label] if index else 0 for t in tuples], dtype=np.intp)
+    tp = np.array([t.tp for t in tuples], dtype=float)
+    return _Rows.at_root(table, tp, label)
 
 
 @dataclass(frozen=True)
 class Dataset:
     """An ordered collection of uncertain tuples over named attributes.
 
-    ``origin_mass`` remembers the mass of the root training dataset so that
-    coverage metrics computed on sub-datasets keep a fixed denominator.
+    ``tuples`` is the public view; library code reads the dataset's rows
+    (``_rows``), built from the tuples once and cached.  ``origin_mass``
+    remembers the mass of the root training dataset so that coverage metrics
+    computed on sub-datasets keep a fixed denominator.
     """
 
     attribute_names: tuple[str, ...]
@@ -318,32 +376,35 @@ class Dataset:
                 )
 
     @cached_property
-    def _table(self):
-        """The tuples' read-only table (see ``_tuple_table``); ``dataset_from_design``
-        fills it as it builds the tuples."""
-        return _read_only(_tuple_table(self.tuples, len(self.attribute_names)))
+    def _rows(self) -> _Rows:
+        """The tuples' read-only rows, labels indexed in the label set;
+        ``dataset_from_design`` fills them as it builds the tuples."""
+        return _node_rows(self.tuples, len(self.attribute_names), self.label_set)
 
     def replace_tuples(self, tuples: Iterable[UncertainTuple]) -> "Dataset":
         """Same schema and origin mass, different tuples (used when splitting)."""
         return Dataset(self.attribute_names, self.label_set, tuple(tuples), self.origin_mass)
 
-
-def _read_only(table):
-    table.flags.writeable = False
-    return table
+    def _take(self, index) -> "Dataset":
+        """``replace_tuples`` with the tuples at ``index`` (an integer array),
+        in that order, the rows taken from these."""
+        ds = self.replace_tuples([self.tuples[i] for i in index.tolist()])
+        rows = self._rows
+        vars(ds)["_rows"] = _Rows.at_root(rows.table[index], rows.tp[index], rows.label[index])
+        return ds
 
 
 def dataset_mass(dataset: Dataset) -> float:
     """Total tuple-probability mass (the size of an uncertain dataset)."""
-    return sum(t.tp for t in dataset.tuples)
+    return float(_total(dataset._rows.tp))
 
 
 def label_masses(dataset: Dataset) -> dict[str, float]:
-    """Mass per label, with every label of the label set present (possibly 0)."""
-    masses = {label: 0.0 for label in dataset.label_set}
-    for t in dataset.tuples:
-        masses[t.label] += t.tp
-    return masses
+    """Mass per label, with every label of the label set present (possibly 0),
+    each added in row order from 0.0 (``bincount`` adds its weights in order)."""
+    rows = dataset._rows
+    masses = np.bincount(rows.label, weights=rows.tp, minlength=len(dataset.label_set))
+    return dict(zip(dataset.label_set, masses.tolist()))
 
 
 def label_probability(dataset: Dataset, label: str) -> float:
@@ -368,7 +429,7 @@ def dataset_from_design(
     are 1-based row numbers.
 
     The marginals of all cells are computed at once, in ``make_marginal``'s
-    operation order, and the dataset keeps their table.  Rows that are not
+    operation order, and the dataset keeps them as its rows.  Rows that are not
     one float array, and cells ``make_marginal`` rejects, are built cell by
     cell with ``make_marginal``, which raises its error for the first bad
     cell.
@@ -384,10 +445,13 @@ def dataset_from_design(
         ]
     else:
         tuples = _fresh_tuples(table, labels, uncertainty == 0.0)
-    label_set = sorted(set(labels) if label_set is None else label_set)
-    ds = Dataset(tuple(attribute_names), tuple(label_set), tuple(tuples), sum(t.tp for t in tuples))
+    label_set = tuple(sorted(set(labels) if label_set is None else label_set))
+    tp = np.ones(len(tuples))
+    ds = Dataset(tuple(attribute_names), label_set, tuple(tuples), float(_total(tp)))
     if table is not None:
-        vars(ds)["_table"] = _read_only(table)  # the slot ``cached_property`` fills
+        index = {label: j for j, label in enumerate(label_set)}
+        label = np.array([index[label] for label in labels], dtype=np.intp)
+        vars(ds)["_rows"] = _Rows.at_root(table, tp, label)  # the slot ``cached_property`` fills
     return ds
 
 
@@ -461,23 +525,47 @@ def load_dataset(
 ) -> Dataset:
     """Read a labelled dataset CSV (``attr1,...,attrK,label`` header).
 
-    Exact values are expanded to marginals via ``make_marginal``; when a
-    label set is declared, rows with labels outside it are rejected with the
-    offending row named.
+    Exact values are expanded to marginals via ``make_marginal``; a label
+    outside a declared label set, and a cell ``make_marginal`` rejects, are
+    errors naming the file row and column.
     """
-    names, values, labels = _read_csv(path, expect_label=True)
+    names, values, labels = _read_csv(path, read_text(path), expect_label=True)
     if label_set is not None:
         declared = set(label_set)
-        for i, label in enumerate(labels, start=2):
+        for i, label in enumerate(labels):
             if label not in declared:
                 raise IngestionError(
-                    f"{path}: row {i}, column 'label': label {label!r} "
+                    f"{path}: row {_file_row(path, i)}, column 'label': label {label!r} "
                     f"not in declared label set {sorted(declared)}"
                 )
     try:
         return dataset_from_design(names, values, labels, uncertainty, label_set)
     except InvalidParameterError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
+        raise IngestionError(f"{path}: {_bad_cell(path, names, values, uncertainty)}{exc}") from exc
+
+
+def _bad_cell(path, names, values, uncertainty: float) -> str:
+    """``"row N, column 'a': "`` of the first cell ``make_marginal`` rejects
+    at a valid ``uncertainty``, or ``""``."""
+    if not 0.0 <= uncertainty < 1.0:
+        return ""
+    for i, row in enumerate(values.tolist()):
+        for name, value in zip(names, row):
+            try:
+                make_marginal(value, uncertainty)
+            except InvalidParameterError:
+                return f"row {_file_row(path, i)}, column {name!r}: "
+    return ""
+
+
+def _file_row(path, i: int) -> int:
+    """The row number of data row ``i`` of a dataset CSV, the header being
+    row 1 and blank rows counted, as the ``csv`` row reader numbers rows.
+    Only an error reads the file again: keeping its text through the build
+    of a dataset raises the process's peak memory."""
+    with io.StringIO(read_text(path), newline="") as fh:
+        rows = [n for n, row in enumerate(csv.reader(fh), start=1) if n > 1 and any(map(str.strip, row))]
+    return rows[i]
 
 
 def load_design_points(path):
@@ -492,32 +580,34 @@ def load_design_points(path):
 
 def _read_design_points(path):
     """``load_design_points`` with the rows as one (rows, attributes) array."""
-    first_line = read_text(path).split("\n", 1)[0].split("\r", 1)[0]
+    text = read_text(path)
+    first_line = text.split("\n", 1)[0].split("\r", 1)[0]
     has_label = first_line.strip().split(",")[-1].strip() == "label"
-    names, values, labels = _read_csv(path, expect_label=has_label)
+    names, values, labels = _read_csv(path, text, expect_label=has_label)
     return names, values, (labels if has_label else None)
 
 
-def _read_csv(path, expect_label: bool):
+def _read_csv(path, text, expect_label: bool):
     """``(attribute names, (rows, attributes) float array, labels)`` of a
-    dataset CSV: in one pass when the file is plain (``csvtext.read_plain``),
-    else row by row with ``csv``, which reports a malformed file's errors."""
-    plain = read_plain(path, text_column=-1 if expect_label else None)
+    dataset CSV file ``path`` with decoded ``text``: in one pass when the
+    file is plain (``csvtext.split_plain``), else row by row with ``csv``,
+    which reports a malformed file's errors."""
+    plain = split_plain(text, text_column=-1 if expect_label else None)
     if plain is not None:
         header, lines, values = plain
         names = header[:-1] if expect_label else header
         if (header[-1] == "label" or not expect_label) and len(set(names)) == len(names):
             labels = [line.rpartition(",")[2].strip() for line in lines] if expect_label else []
             return names, values, labels
-    names, rows, labels = _read_csv_rows(path, expect_label)
+    names, rows, labels = _read_csv_rows(path, text, expect_label)
     return names, np.array(rows, dtype=float).reshape(len(rows), len(names)), labels
 
 
-def _read_csv_rows(path, expect_label: bool):
+def _read_csv_rows(path, text, expect_label: bool):
     """``(names, rows, labels)`` read row by row with ``csv``: the reader of
     quoted fields and bare CRs, and the one that names a malformed file's
     first bad row."""
-    with io.StringIO(read_text(path), newline="") as fh:
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -673,13 +763,10 @@ def apply_labels(responses: Sequence, criteria: LabelCriteria) -> list[str]:
 
 def load_criteria(source) -> LabelCriteria:
     """Build criteria from a JSON file path or an already-parsed dict."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = source
-    labels = data.get("labels", {})
+    is_path = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
+    data = read_json(source) if is_path else source
     try:
+        labels = data.get("labels", {})
         return LabelCriteria(
             good=tuple((n, op, float(v)) for n, op, v in data["good"]),
             poor=tuple((n, op, float(v)) for n, op, v in data["poor"]),
@@ -687,5 +774,5 @@ def load_criteria(source) -> LabelCriteria:
             poor_label=labels.get("poor", "p"),
             fallback_label=labels.get("fallback", "m"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"malformed labelling criteria: {exc}") from exc

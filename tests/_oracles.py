@@ -24,7 +24,7 @@ from scipy.special import ndtr, ndtri
 
 from designmine.errors import IngestionError
 from designmine.tree import LeafNode, SplitCandidate, SplitNode, UncertainTree
-from designmine.uncertain import dataset_mass, label_masses, partition_tuple
+from designmine.uncertain import partition_tuple
 
 
 # --- certain-data gain-ratio tree --------------------------------------------
@@ -119,6 +119,22 @@ def certain_predict(node, x):
 # --- scalar uncertain-tree builder ------------------------------------------
 
 
+def _loop_sum(values):
+    """``values`` added in order from 0.0: the order the package pins, which
+    Python's own ``sum`` of floats does not keep from 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _label_masses(dataset):
+    masses = {label: 0.0 for label in dataset.label_set}
+    for t in dataset.tuples:
+        masses[t.label] += t.tp
+    return masses
+
+
 def _entropy_of(masses, total):
     h = 0.0
     for m in masses.values():
@@ -142,13 +158,13 @@ def oracle_gain_ratio(dataset, s, min_mass):
     """Gain ratio of one candidate, or None when a side is lighter than
     ``min_mass`` or has no mass."""
     left, right = _partition_label_masses(dataset, s)
-    lt = sum(left.values())
-    rt = sum(right.values())
+    lt = _loop_sum(left.values())
+    rt = _loop_sum(right.values())
     if lt < min_mass or rt < min_mass or lt <= 0.0 or rt <= 0.0:
         return None
-    parent = label_masses(dataset)
+    parent = _label_masses(dataset)
     total = lt + rt
-    parent_h = _entropy_of(parent, sum(parent.values()))
+    parent_h = _entropy_of(parent, _loop_sum(parent.values()))
     wl, wr = lt / total, rt / total
     se = wl * _entropy_of(left, lt) + wr * _entropy_of(right, rt)
     si = -(wl * math.log2(wl) + wr * math.log2(wr))
@@ -201,8 +217,8 @@ def oracle_build(dataset, config):
     and candidate, with the package's tie-break and stop rules."""
 
     def grow(ds, depth):
-        masses = label_masses(ds)
-        total = sum(masses.values())
+        masses = _label_masses(ds)
+        total = _loop_sum(masses.values())
         lp = {label: masses[label] / total for label in ds.label_set}
         leaf = LeafNode(lp, total)
         if depth >= config.max_layers:
@@ -304,7 +320,7 @@ def path_walk_ctt(branch, d_origin):
     label is cut down the branch's path alone, and the mass left at its end
     is summed in ``d_origin`` order."""
     target = branch.dominant
-    total = dataset_mass(d_origin)
+    total = _loop_sum(t.tp for t in d_origin.tuples)
     reached = 0.0
     for t in d_origin.tuples:
         if t.label != target:

@@ -108,6 +108,8 @@ def test_rules_empty_dataset_exits_3(dataset_csv, tmp_path, capsys):
     assert run("rules", "--tree", str(tree), "--data", str(empty), "--bounds", str(bounds),
                "--out", str(tmp_path / "r.json")) == 3
     assert capsys.readouterr().err.startswith("error[EmptyDatasetError]")
+    assert run("rules", "--tree", str(tree), "--data", str(empty), "--out", str(tmp_path / "r.json")) == 3
+    assert capsys.readouterr().err.startswith("error[EmptyDatasetError]")
 
 
 def test_rules_with_bounds_file(dataset_csv, tmp_path):
@@ -503,6 +505,74 @@ def test_metrics_on_a_csv_that_is_not_utf8_exits_2(tmp_path, capsys, flag):
     break_row(path, 2)
     code = run("metrics", flag, str(path), "--out", str(tmp_path / "m.json"))
     assert_exits_2_naming(code, capsys, path, 2)
+
+
+# --- JSON inputs ---------------------------------------------------------------------
+
+
+def json_flag_run(flag, dataset_csv, tmp_path, bad):
+    """Run the command that reads ``flag``'s JSON file, with ``bad`` as that
+    file and every other input valid."""
+    tree = trained_tree(dataset_csv, tmp_path)
+    out = str(tmp_path / "out")
+    if flag == "--tree":
+        return run("classify", "--tree", str(bad), "--data", str(dataset_csv), "--out", out)
+    if flag == "--bounds":
+        return run("rules", "--tree", str(tree), "--data", str(dataset_csv),
+                   "--bounds", str(bad), "--out", out)
+    if flag == "--rules":
+        return run("sample", "--rules", str(bad), "--out", out)
+    return run("demo", "--spec", str(bad), "--n-train", "20", "--out", out)
+
+
+VALID_JSON = {
+    "--tree": lambda dataset_csv, tmp_path: trained_tree(dataset_csv, tmp_path).read_bytes(),
+    "--bounds": lambda *_: json.dumps({"t": [1.0, 3.0], "u": [0.0, 10.0]}).encode(),
+    "--rules": lambda *_: json.dumps(
+        {"target": "g", "selected": "b1", "branches": [
+            {"id": "b1", "acc": 1.0, "ctt": 0.5, "box": {"t": [1.0, 2.0]}}]}
+    ).encode(),
+    "--spec": lambda *_: bundled_surrogate_text().encode("utf-8"),
+}
+
+
+@pytest.mark.parametrize("flag", ["--tree", "--bounds", "--rules", "--spec"])
+@pytest.mark.parametrize("damage", ["byte", "truncated"])
+def test_json_inputs_that_do_not_decode_or_parse_exit_2(dataset_csv, tmp_path, capsys, flag, damage):
+    data = VALID_JSON[flag](dataset_csv, tmp_path)
+    bad = tmp_path / "bad.json"
+    if damage == "byte":
+        lines = data.split(b"\n")
+        lines[-1] = b"\xe9" + lines[-1]
+        bad.write_bytes(b"\n".join(lines))
+        message = f"{bad}: row {len(lines)}: byte 0xe9 is not valid UTF-8"
+    else:
+        bad.write_bytes(data[: len(data) // 2])
+        message = f"{bad}: not valid JSON ("
+    capsys.readouterr()
+    assert json_flag_run(flag, dataset_csv, tmp_path, bad) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith(f"error[IngestionError]: {message}")
+
+
+def test_a_spec_with_a_list_where_an_object_goes_exits_2(tmp_path, capsys):
+    spec = json.loads(bundled_surrogate_text())
+    spec["components"][0]["responses"] = []
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(spec), encoding="utf-8")
+    assert run("demo", "--spec", str(bad), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error[IngestionError]: malformed surrogate")
+
+
+def test_train_names_the_row_and_column_of_a_cell_it_cannot_widen(tmp_path, capsys):
+    path = tmp_path / "zero.csv"
+    path.write_text("a,b,label\n1.0,2.0,g\n\n3.0,0.0,p\n", encoding="utf-8")
+    assert run("train", "--data", str(path), "--uncertainty", "0.1", "--out", str(tmp_path / "t.json")) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error[IngestionError]: {path}: row 4, column 'b': mean must be nonzero")
 
 
 def test_train_on_a_csv_with_a_blank_first_line_exits_2(tmp_path, capsys):

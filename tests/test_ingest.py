@@ -19,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 from designmine import csvtext
 from designmine import uncertain as uncertain_module
 from designmine.errors import IngestionError, InvalidParameterError
-from designmine.tree import TreeConfig, _node_rows, build_tree, tree_to_dict
+from designmine.tree import TreeConfig, build_tree, tree_to_dict
 from designmine.tree import test_accuracy as accuracy_on
 from designmine.uncertain import (
     Dataset,
+    _node_rows,
     dataset_from_design,
     fresh_tuple,
     load_dataset,
@@ -54,7 +55,7 @@ def outcome(read, path):
 
 
 def assert_reads_like_oracle(path, expect_label):
-    got = outcome(lambda p: uncertain_module._read_csv(p, expect_label), path)
+    got = outcome(lambda p: uncertain_module._read_csv(p, csvtext.read_text(p), expect_label), path)
     points = outcome(load_design_points, path)
     try:
         path.read_bytes().decode("utf-8")
@@ -93,7 +94,7 @@ def test_plain_dataset_files_take_the_one_pass_path(tmp_path):
     )
     assert csvtext.read_plain(path, text_column=-1) is not None
     assert_reads_like_oracle(path, expect_label=True)
-    names, values, labels = uncertain_module._read_csv(path, expect_label=True)
+    names, values, labels = uncertain_module._read_csv(path, csvtext.read_text(path), expect_label=True)
     assert names == ["a", "b"] and labels == ["g", "p q", "", "m"]
     assert values.tolist() == [[0.1, -0.0], [1.0, 5e-324], [1e5, 2.5e-310], [0.5, 5.0]]
 
@@ -260,8 +261,8 @@ def assert_builds_like_reference(names, rows, labels, uncertainty, label_set=Non
     assert repr(got.tuples) == repr(expected.tuples)  # repr tells -0.0 from 0.0
     k = len(names)
     table = _node_rows(expected.tuples, k, expected.label_set).table
-    assert got._table.tobytes() == table.tobytes()
-    assert not got._table.flags.writeable
+    assert got._rows.table.tobytes() == table.tobytes()
+    assert not got._rows.table.flags.writeable
 
 
 MEANS = st.one_of(
@@ -317,10 +318,10 @@ def test_loaded_dataset_keeps_its_table_and_trains_on_it(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for uncertainty in (0.0, 0.1):
         ds = load_dataset(path, uncertainty)
-        assert "_table" in vars(ds)
+        assert "_rows" in vars(ds)
         same = Dataset(ds.attribute_names, ds.label_set, ds.tuples, ds.origin_mass)
-        assert "_table" not in vars(same)
-        assert ds._table.tobytes() == same._table.tobytes()
+        assert "_rows" not in vars(same)
+        assert ds._rows.table.tobytes() == same._rows.table.tobytes()
         config = TreeConfig(max_layers=4, n_split_points=5)
         assert tree_to_dict(build_tree(ds, config)) == tree_to_dict(build_tree(same, config))
         tree = build_tree(ds, config)

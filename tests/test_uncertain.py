@@ -320,6 +320,47 @@ def test_load_dataset_unknown_label(tmp_path):
         load_dataset(p, 0.0, label_set=["g", "p"])
 
 
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("a,label\n\n1.0,x\n", 3),
+        ("a,label\r\n\r\n1.0,g\r\n  \r\n2.0,x\r\n", 5),
+        ('a,label\n"1.0",g\n\n"2.0","x"\n', 4),  # quoted: read by the row reader
+        ("a,label\r1.0,g\r\r2.0,x\r", 4),  # bare CRs: read by the row reader
+    ],
+)
+def test_load_dataset_names_the_file_row_of_an_undeclared_label(tmp_path, text, row):
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with pytest.raises(IngestionError) as err:
+        load_dataset(p, 0.0, label_set=["g", "p"])
+    assert str(err.value) == (
+        f"{p}: row {row}, column 'label': label 'x' not in declared label set ['g', 'p']"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("a,b,label\n1.0,2.0,g\n\n3.0,0.0,p\n", 4),
+        ("a,b,label\r\n\r\n1.0,2.0,g\r\n3.0,0.0,p\r\n", 4),
+        ('a,b,label\n"1.0",2.0,g\n\n\n3.0,"0.0",p\n', 5),  # quoted: read by the row reader
+    ],
+)
+def test_load_dataset_names_the_file_row_and_column_of_a_cell_it_cannot_widen(tmp_path, text, row):
+    p = tmp_path / "zero.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with pytest.raises(IngestionError) as err:
+        load_dataset(p, 0.1)
+    assert str(err.value) == (
+        f"{p}: row {row}, column 'b': "
+        "mean must be nonzero when relative deviation > 0 (interval would be empty)"
+    )
+    with pytest.raises(IngestionError) as err:  # a bad deviation is not a cell's fault
+        load_dataset(p, 1.5)
+    assert str(err.value) == f"{p}: relative deviation must be in [0, 1), got 1.5"
+
+
 def test_load_dataset_malformed_row(tmp_path):
     p = write_csv(tmp_path / "d.csv", "a,b,label\n1,zap,g\n")
     with pytest.raises(IngestionError, match="column 'b'"):
