@@ -1,25 +1,29 @@
-"""The text of an input file: decoded once, and a CSV parsed in one pass when it is plain.
+"""The text of an input file, decoded once, and the one CSV reader of the package.
 
 Every CSV and JSON reader in the package decodes its file with ``read_text``,
 so a file that is not UTF-8 is an ``IngestionError`` naming the file and the
 row of the first bad byte; ``read_json`` also names the file of JSON it cannot
-parse.  ``split_plain`` is the fast path of the dataset and point readers: a
-well-formed file with no quoting is split into lines and its number columns
-parsed by one ``np.loadtxt`` call.  Any other file is left to the reader's
-``csv`` row loop, which reads quoted fields and bare CRs and is the one that
-says what is wrong with a malformed file.
+parse.  ``read_csv`` reads the dataset, design, point, curve and histories
+formats: a well-formed file with no quoting is split into lines and its number
+columns parsed by one ``np.loadtxt`` call (``split_plain``); any other file
+goes through one ``csv`` row loop (``split_rows``), which reads quoted fields
+and bare CRs and is the one that says what is wrong with a malformed file.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 
 import numpy as np
 
 from .errors import IngestionError
 
-__all__ = ["ROW_READER_CHARS", "read_text", "read_json", "read_plain", "split_plain"]
+__all__ = [
+    "ROW_READER_CHARS", "exact_header", "read_text", "read_json", "read_csv", "split_plain", "split_rows"
+]
 
 #: Characters that send a file to the row reader: a quote (CSV quoting), a
 #: bare CR (a line break ``str.split("\n")`` does not see), NUL (which
@@ -56,47 +60,131 @@ def read_json(path):
         raise IngestionError(f"{path}: JSON nested too deeply to load") from None
 
 
-def read_plain(path, text_column):
-    """``split_plain`` of the file's text."""
-    return split_plain(read_text(path), text_column)
+def exact_header(*names, text_column=None):
+    """The header rule of a format whose header is exactly ``names``."""
+
+    def rule(fields):
+        if fields != list(names):
+            raise IngestionError(f"expected header {','.join(names)}, got {','.join(fields)}")
+        return text_column
+
+    return rule
 
 
-def split_plain(text, text_column):
-    """``(header fields, data lines, numbers)`` of a CSV file's text in one
-    pass, or None when the file needs the row reader.
+def read_csv(path, header_rule):
+    """``(header, texts, values, lines)`` of a CSV file, decoded once.
 
-    Fields of the header are stripped; data lines are the non-blank lines
-    after it, CRLF read as LF.  Every column but ``text_column`` (0, -1 or
-    None) is parsed as float by one ``np.loadtxt`` call into an (rows,
-    columns) array.  The file must hold none of ``ROW_READER_CHARS``, have a
-    non-empty header and at least one data line, every line as many fields
-    as the header and none longer than ``csv.field_size_limit()``.
+    ``header_rule(fields)`` is called with the header's stripped fields; it
+    returns the text column (0, -1 or None) or raises ``IngestionError`` for
+    a header its format rejects.  ``texts`` are the text column's cells,
+    verbatim (None without a text column), ``values`` the other columns
+    parsed as float into a (rows, columns) array, and ``lines`` the file line
+    each data row starts on, the header being line 1.  Blank rows (no field
+    but whitespace) are skipped.  Every error is an ``IngestionError`` that
+    names the file, and the line for a fault in a row: ``row N: expected K
+    fields, got M``, ``row N, column 'c': could not parse 'x' as a number``,
+    or the ``csv`` module's own complaint.
+    """
+    text = read_text(path)
+    try:
+        return split_plain(text, header_rule) or split_rows(text, header_rule)
+    except IngestionError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
+
+
+def _number_columns(header, text_column):
+    columns = list(range(len(header)))
+    if text_column is not None:
+        del columns[text_column]
+    return columns
+
+
+def split_plain(text, header_rule):
+    """``read_csv`` of a file's text in one pass, its errors not yet naming
+    the file, or None when the file needs the row reader.
+
+    Data lines are the non-blank lines after the header, CRLF read as LF, and
+    the number columns are parsed by one ``np.loadtxt`` call.  The file must
+    hold none of ``ROW_READER_CHARS``, have a non-empty header, at least one
+    number column and one data line, every line as many fields as the header
+    and none longer than ``csv.field_size_limit()``.  Such a file's header
+    reads as the row reader reads it, so ``header_rule``'s error is the same.
     """
     text = text.replace("\r\n", "\n")
     if any(c in text for c in ROW_READER_CHARS):
         return None
-    header, _, body = text.partition("\n")
-    fields = [h.strip() for h in header.split(",")]
-    usecols = list(range(len(fields)))
-    if text_column is not None:
-        del usecols[text_column]
-    lines = [line for line in body.split("\n") if line.strip()]
-    commas = len(fields) - 1
+    raw = text.split("\n")
+    limit = csv.field_size_limit()
+    if not raw[0] or len(raw[0]) > limit:
+        return None
+    header = [h.strip() for h in raw[0].split(",")]
+    text_column = header_rule(header)
+    columns = _number_columns(header, text_column)
+    lines = [line for line in itertools.islice(raw, 1, None) if line.strip()]
+    commas = len(header) - 1
     if (
-        not header
-        or not usecols
+        not columns
         or not lines
-        or body.count(",") != commas * len(lines)
-        or max(map(len, lines)) > csv.field_size_limit()
+        or text.count(",") != commas * (len(lines) + 1)
+        or max(map(len, lines)) > limit
     ):
         return None
     # ``np.loadtxt`` ignores fields after the last column it reads and fails on
     # a line short of it, so with the right comma total only a text column at
     # the end needs the lines counted one by one.
-    if usecols[-1] != commas and any(line.count(",") != commas for line in lines):
+    if columns[-1] != commas and any(line.count(",") != commas for line in lines):
         return None
     try:
-        values = np.loadtxt(lines, delimiter=",", usecols=usecols, comments=None, ndmin=2)
+        values = np.loadtxt(lines, delimiter=",", usecols=columns, comments=None, ndmin=2)
     except ValueError:
         return None
-    return fields, lines, values
+    if text_column is None:
+        texts = None
+    elif text_column == 0:
+        texts = [line.partition(",")[0] for line in lines]
+    else:
+        texts = [line.rpartition(",")[2] for line in lines]
+    if raw[1 : len(lines) + 1] == lines:  # no blank line before the last data line
+        starts = range(2, len(lines) + 2)
+    else:
+        starts = [n for n, line in enumerate(raw, start=1) if n > 1 and line.strip()]
+    return header, texts, values, starts
+
+
+def split_rows(text, header_rule):
+    """``read_csv`` of a file's text, row by row with ``csv``, its errors not
+    yet naming the file.  A row's line is the one after the last line of the
+    record before it."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    line = 1
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise IngestionError("empty file")
+        header = [h.strip() for h in header]
+        text_column = header_rule(header)
+        columns = _number_columns(header, text_column)
+        texts, rows, lines = [], [], []
+        line = reader.line_num + 1
+        for row in reader:
+            if any(map(str.strip, row)):
+                if len(row) != len(header):
+                    raise IngestionError(f"row {line}: expected {len(header)} fields, got {len(row)}")
+                values = []
+                for j in columns:
+                    try:
+                        values.append(float(row[j]))
+                    except ValueError:
+                        raise IngestionError(
+                            f"row {line}, column {header[j]!r}: "
+                            f"could not parse {row[j].strip()!r} as a number"
+                        ) from None
+                rows.append(values)
+                if text_column is not None:
+                    texts.append(row[text_column])
+                lines.append(line)
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise IngestionError(f"row {line}: {exc}") from None
+    values = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    return header, (None if text_column is None else texts), values, lines

@@ -7,15 +7,13 @@ samples as given (no interpolation beyond linear).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .csvtext import read_text
-from .errors import IngestionError, InvalidParameterError
+from .csvtext import exact_header, read_csv
+from .errors import InvalidParameterError
 from .uncertain import _total
 
 __all__ = [
@@ -152,38 +150,11 @@ def sea(curve: ForceDeflectionCurve, mass: float) -> float:
 
 def load_curve(path) -> ForceDeflectionCurve:
     """Read a `u_m,F_kN` CSV."""
-    u, f = _load_columns(path, ("u_m", "F_kN"))
-    return ForceDeflectionCurve(np.asarray(u), np.asarray(f))
+    _, _, values, _ = read_csv(path, exact_header("u_m", "F_kN"))
+    return ForceDeflectionCurve(values[:, 0], values[:, 1])
 
 
 def load_histories(path) -> IntrusionHistories:
     """Read a `t_s,s1_mm,s2_mm,s3_mm,s4_mm` CSV."""
-    cols = _load_columns(path, ("t_s", "s1_mm", "s2_mm", "s3_mm", "s4_mm"))
-    return IntrusionHistories(np.asarray(cols[0]), np.asarray(cols[1:]))
-
-
-def _load_columns(path, expected):
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        if header != list(expected):
-            raise IngestionError(
-                f"{path}: expected header {','.join(expected)}, got {','.join(header)}"
-            )
-        columns = [[] for _ in expected]
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(expected):
-                raise IngestionError(f"{path}: row {lineno}: wrong field count")
-            for name, cell, col in zip(expected, row, columns):
-                try:
-                    col.append(float(cell))
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}: row {lineno}, column {name!r}: bad number {cell.strip()!r}"
-                    ) from None
-    return columns
+    _, _, values, _ = read_csv(path, exact_header("t_s", "s1_mm", "s2_mm", "s3_mm", "s4_mm"))
+    return IntrusionHistories(values[:, 0], values[:, 1:].T.copy())

@@ -9,15 +9,12 @@ logarithm throughout.
 
 from __future__ import annotations
 
-import csv
-import io
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic import atomic_open
-from .csvtext import read_plain, read_text
+from .csvtext import exact_header, read_csv
 from .errors import ConditioningError, IngestionError, InvalidParameterError
 
 __all__ = [
@@ -35,6 +32,8 @@ CONDITION_LIMIT = 1e12
 
 #: Relative residual allowed for the fitted linear system.
 RESIDUAL_LIMIT = 1e-8
+
+_POINT_HEADER = exact_header("id", "x", "y", "z", text_column=0)
 
 
 def tps_kernel(r):
@@ -166,58 +165,15 @@ def apply_morph(morph: MorphMap, nodes) -> np.ndarray:
     return a @ morph.kernel_weights + nodes @ morph.affine + morph.offset
 
 
-def _data_rows(reader):
-    """(line number, row) for the non-blank rows after the header."""
-    for lineno, row in enumerate(reader, start=2):
-        if row and any(c.strip() for c in row):
-            yield lineno, row
-
-
-def _read_plain(path):
-    """(ids, points) of a well-formed point CSV with no quote and no bare CR,
-    its coordinates parsed in one ``np.loadtxt`` call; None when the file
-    needs the row reader, to read it or to say what is wrong with it."""
-    plain = read_plain(path, text_column=0)
-    if plain is None or plain[0] != ["id", "x", "y", "z"]:
-        return None
-    _, lines, points = plain
-    return [line.partition(",")[0] for line in lines], points
-
-
-def _read_rows(path):
-    """(ids, points) read row by row with ``csv``: the reader of quoted ids
-    and bare CRs, and the one that names a malformed file's first bad row."""
-    ids, coords = [], []
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        if header != ["id", "x", "y", "z"]:
-            raise IngestionError(f"{path}: expected header id,x,y,z, got {','.join(header)}")
-        for lineno, row in _data_rows(reader):
-            if len(row) != 4:
-                raise IngestionError(f"{path}: row {lineno}: wrong field count")
-            ids.append(row[0])
-            try:
-                coords.append([float(c) for c in row[1:]])
-            except ValueError:
-                raise IngestionError(f"{path}: row {lineno}: bad coordinate") from None
-    return ids, np.asarray(coords, dtype=float)
-
-
 def load_points(path):
     """Read an `id,x,y,z` CSV; ids come back verbatim as strings.  Every
     coordinate must be a finite number."""
-    ids, points = _read_plain(path) or _read_rows(path)
+    _, ids, points, lines = read_csv(path, _POINT_HEADER)
+    if not ids:  # an empty (0,) array, which ControlPointSet and apply_morph reject
+        return ids, np.asarray([], dtype=float)
     if not np.isfinite(points).all():
         bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
-        with io.StringIO(read_text(path), newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            lineno, _ = next(itertools.islice(_data_rows(reader), bad, None))
-        raise IngestionError(f"{path}: row {lineno}: non-finite coordinate")
+        raise IngestionError(f"{path}: row {lines[bad]}: non-finite coordinate")
     return ids, points
 
 

@@ -79,6 +79,11 @@ __all__ = [
 #: Partitions lighter than this are treated as empty when scoring splits.
 MIN_PARTITION_MASS = 1e-6
 
+#: Largest ``max_layers`` that ``build_tree`` accepts.  Tree walks are loops,
+#: but ``save_tree``'s JSON encoder and ``==`` and ``repr`` on trees recurse
+#: once or more per level and fail a little above 300 levels.
+MAX_LAYERS = 256
+
 
 @dataclass(frozen=True)
 class TreeConfig:
@@ -447,6 +452,10 @@ def build_tree(dataset: Dataset, config: TreeConfig) -> UncertainTree:
     """Grow the tree until purity, candidate exhaustion, or the layer cap,
     one depth at a time: every node at a depth is scored and split in one
     pass."""
+    if config.max_layers > MAX_LAYERS:
+        raise InvalidParameterError(
+            f"max_layers {config.max_layers} exceeds {MAX_LAYERS}, the deepest tree supported"
+        )
     rows = dataset._rows
     if not len(rows):
         raise TreeConstructionError("cannot build a tree from an empty dataset")

@@ -12,8 +12,6 @@ in this module can be shared freely across threads.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .csvtext import read_json, read_text, split_plain
+from .csvtext import read_csv, read_json
 from .errors import (
     EmptyDatasetError,
     InconsistentCriteriaError,
@@ -527,45 +525,35 @@ def load_dataset(
 
     Exact values are expanded to marginals via ``make_marginal``; a label
     outside a declared label set, and a cell ``make_marginal`` rejects, are
-    errors naming the file row and column.
+    errors naming the file line and column.
     """
-    names, values, labels = _read_csv(path, read_text(path), expect_label=True)
+    names, values, labels, lines = _read_csv(path, expect_label=True)
     if label_set is not None:
         declared = set(label_set)
-        for i, label in enumerate(labels):
+        for line, label in zip(lines, labels):
             if label not in declared:
                 raise IngestionError(
-                    f"{path}: row {_file_row(path, i)}, column 'label': label {label!r} "
+                    f"{path}: row {line}, column 'label': label {label!r} "
                     f"not in declared label set {sorted(declared)}"
                 )
     try:
         return dataset_from_design(names, values, labels, uncertainty, label_set)
     except InvalidParameterError as exc:
-        raise IngestionError(f"{path}: {_bad_cell(path, names, values, uncertainty)}{exc}") from exc
+        raise IngestionError(f"{path}: {_bad_cell(names, values, lines, uncertainty)}{exc}") from exc
 
 
-def _bad_cell(path, names, values, uncertainty: float) -> str:
+def _bad_cell(names, values, lines, uncertainty: float) -> str:
     """``"row N, column 'a': "`` of the first cell ``make_marginal`` rejects
     at a valid ``uncertainty``, or ``""``."""
     if not 0.0 <= uncertainty < 1.0:
         return ""
-    for i, row in enumerate(values.tolist()):
+    for line, row in zip(lines, values.tolist()):
         for name, value in zip(names, row):
             try:
                 make_marginal(value, uncertainty)
             except InvalidParameterError:
-                return f"row {_file_row(path, i)}, column {name!r}: "
+                return f"row {line}, column {name!r}: "
     return ""
-
-
-def _file_row(path, i: int) -> int:
-    """The row number of data row ``i`` of a dataset CSV, the header being
-    row 1 and blank rows counted, as the ``csv`` row reader numbers rows.
-    Only an error reads the file again: keeping its text through the build
-    of a dataset raises the process's peak memory."""
-    with io.StringIO(read_text(path), newline="") as fh:
-        rows = [n for n, row in enumerate(csv.reader(fh), start=1) if n > 1 and any(map(str.strip, row))]
-    return rows[i]
 
 
 def load_design_points(path):
@@ -580,73 +568,30 @@ def load_design_points(path):
 
 def _read_design_points(path):
     """``load_design_points`` with the rows as one (rows, attributes) array."""
-    text = read_text(path)
-    first_line = text.split("\n", 1)[0].split("\r", 1)[0]
-    has_label = first_line.strip().split(",")[-1].strip() == "label"
-    names, values, labels = _read_csv(path, text, expect_label=has_label)
-    return names, values, (labels if has_label else None)
+    return _read_csv(path, expect_label=None)[:3]
 
 
-def _read_csv(path, text, expect_label: bool):
-    """``(attribute names, (rows, attributes) float array, labels)`` of a
-    dataset CSV file ``path`` with decoded ``text``: in one pass when the
-    file is plain (``csvtext.split_plain``), else row by row with ``csv``,
-    which reports a malformed file's errors."""
-    plain = split_plain(text, text_column=-1 if expect_label else None)
-    if plain is not None:
-        header, lines, values = plain
-        names = header[:-1] if expect_label else header
-        if (header[-1] == "label" or not expect_label) and len(set(names)) == len(names):
-            labels = [line.rpartition(",")[2].strip() for line in lines] if expect_label else []
-            return names, values, labels
-    names, rows, labels = _read_csv_rows(path, text, expect_label)
-    return names, np.array(rows, dtype=float).reshape(len(rows), len(names)), labels
+def _read_csv(path, expect_label: bool | None):
+    """``(attribute names, (rows, attributes) float array, labels, file
+    lines)`` of a dataset CSV, with a last column 'label' when
+    ``expect_label`` is True, or when it is None and the header ends in one.
+    ``labels`` is None without a label column."""
 
-
-def _read_csv_rows(path, text, expect_label: bool):
-    """``(names, rows, labels)`` read row by row with ``csv``: the reader of
-    quoted fields and bare CRs, and the one that names a malformed file's
-    first bad row."""
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if expect_label:
-            if not header or header[-1] != "label":
-                got = header[-1] if header else ""
-                raise IngestionError(f"{path}: last column must be 'label', got {got!r}")
-            names = header[:-1]
-        else:
-            names = header
+    def header_rule(fields):
+        labelled = fields[-1:] == ["label"] if expect_label is None else expect_label
+        if labelled and fields[-1:] != ["label"]:
+            raise IngestionError(f"last column must be 'label', got {(fields or [''])[-1]!r}")
+        names = fields[:-1] if labelled else fields
         if not names:
-            raise IngestionError(f"{path}: no attribute columns")
+            raise IngestionError("no attribute columns")
         if len(set(names)) != len(names):
-            raise IngestionError(f"{path}: duplicate attribute names in header")
-        rows: list[list[float]] = []
-        labels: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}: row {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            values = []
-            for name, cell in zip(names, row):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}: row {lineno}, column {name!r}: "
-                        f"could not parse {cell.strip()!r} as a number"
-                    ) from None
-            rows.append(values)
-            if expect_label:
-                labels.append(row[-1].strip())
-    return names, rows, labels
+            raise IngestionError("duplicate attribute names in header")
+        return -1 if labelled else None
+
+    header, labels, values, lines = read_csv(path, header_rule)
+    if labels is None:
+        return header, values, None, lines
+    return header[:-1], values, [label.strip() for label in labels], lines
 
 
 # --- threshold labelling ----------------------------------------------------

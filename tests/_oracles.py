@@ -360,10 +360,13 @@ def random_certain_problem(rng, max_tuples=50, max_attrs=4):
 
 
 def _data_rows(reader):
-    """(line number, row) for the non-blank rows after the header."""
-    for lineno, row in enumerate(reader, start=2):
+    """(line number, row) for the non-blank rows after the header: the file
+    line the row starts on, one after the last line of the record before it."""
+    lineno = reader.line_num + 1
+    for row in reader:
         if row and any(c.strip() for c in row):
             yield lineno, row
+        lineno = reader.line_num + 1
 
 
 def oracle_load_points(path):
@@ -380,12 +383,18 @@ def oracle_load_points(path):
             raise IngestionError(f"{path}: expected header id,x,y,z, got {','.join(header)}")
         for lineno, row in _data_rows(reader):
             if len(row) != 4:
-                raise IngestionError(f"{path}: row {lineno}: wrong field count")
+                raise IngestionError(f"{path}: row {lineno}: expected 4 fields, got {len(row)}")
             ids.append(row[0])
-            try:
-                coords.append([float(c) for c in row[1:]])
-            except ValueError:
-                raise IngestionError(f"{path}: row {lineno}: bad coordinate") from None
+            values = []
+            for name, cell in zip(header[1:], row[1:]):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise IngestionError(
+                        f"{path}: row {lineno}, column {name!r}: "
+                        f"could not parse {cell.strip()!r} as a number"
+                    ) from None
+            coords.append(values)
     points = np.asarray(coords, dtype=float)
     if not np.isfinite(points).all():
         bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
@@ -421,9 +430,7 @@ def oracle_read_csv(path, expect_label: bool):
             raise IngestionError(f"{path}: duplicate attribute names in header")
         rows: list[list[float]] = []
         labels: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        for lineno, row in _data_rows(reader):
             if len(row) != len(header):
                 raise IngestionError(
                     f"{path}: row {lineno}: expected {len(header)} fields, got {len(row)}"

@@ -8,8 +8,18 @@ import pytest
 
 from designmine.cli import bundled_surrogate_text, main
 from designmine.rules import enumerate_branches
-from designmine.tree import classify, iter_leaves, tree_depth, tree_from_dict, tree_to_dict
-from designmine.uncertain import fresh_tuple, make_marginal
+from designmine.tree import (
+    MAX_LAYERS,
+    TreeConfig,
+    build_tree,
+    classify,
+    iter_leaves,
+    load_tree,
+    tree_depth,
+    tree_from_dict,
+    tree_to_dict,
+)
+from designmine.uncertain import fresh_tuple, load_dataset, make_marginal
 
 
 def run(*argv):
@@ -362,6 +372,28 @@ def test_classify_deeply_nested_tree_exits_2(dataset_csv, tmp_path, capsys):
     sample = fresh_tuple(1, [make_marginal(2.0, 0.1), make_marginal(5.0, 0.1)], "g")
     assert classify(deep, sample) == {"g": 1.0, "m": 0.0, "p": 0.0}
     assert tree_depth(tree_from_dict(tree_to_dict(deep))) == 1500
+
+
+def test_train_at_the_depth_cap_round_trips_and_one_layer_more_exits_2(tmp_path, capsys):
+    # x = 2**-i with alternating labels: each split peels off one sample, so
+    # the tree is a chain as deep as the cap allows.
+    data = tmp_path / "chain.csv"
+    rows = [f"{2.0**-i!r},{'gp'[i % 2]}" for i in range(MAX_LAYERS + 20)]
+    data.write_text("x,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "tree.json"
+    assert run("train", "--data", str(data), "--max-layers", str(MAX_LAYERS), "--splits", "1",
+               "--out", str(out)) == 0
+    grown = build_tree(load_dataset(data, 0.0), TreeConfig(max_layers=MAX_LAYERS, n_split_points=1))
+    assert tree_depth(grown) == MAX_LAYERS
+    assert load_tree(out) == grown
+    capsys.readouterr()
+    assert run("train", "--data", str(data), "--max-layers", str(MAX_LAYERS + 1), "--splits", "1",
+               "--out", str(tmp_path / "deeper.json")) == 2
+    assert capsys.readouterr().err == (
+        f"error[InvalidParameterError]: max_layers {MAX_LAYERS + 1} exceeds {MAX_LAYERS}, "
+        "the deepest tree supported\n"
+    )
+    assert not (tmp_path / "deeper.json").exists()
 
 
 # --- metrics -----------------------------------------------------------------------

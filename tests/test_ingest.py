@@ -10,7 +10,9 @@ equal to the one ``tree`` builds from those tuples, and raise their errors.
 
 import csv
 import math
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from designmine import csvtext
 from designmine import uncertain as uncertain_module
 from designmine.errors import IngestionError, InvalidParameterError
+from designmine.metrics import load_curve, load_histories
+from designmine.morph import load_points
 from designmine.tree import TreeConfig, build_tree, tree_to_dict
 from designmine.tree import test_accuracy as accuracy_on
 from designmine.uncertain import (
@@ -31,7 +35,7 @@ from designmine.uncertain import (
     make_marginal,
 )
 
-from _oracles import oracle_load_design_points, oracle_read_csv
+from _oracles import oracle_load_design_points, oracle_load_points, oracle_read_csv
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -49,13 +53,20 @@ def outcome(read, path):
             names, rows, labels = read(path)
         except IngestionError as exc:
             return str(exc)
+        except csv.Error as exc:  # the row reader lets the csv module's errors out
+            return exc
         except IndexError:  # the row reader on a blank first line
             return f"{path}: last column must be 'label', got ''"
     return names, np.asarray(rows, dtype=float).reshape(len(rows), len(names)), labels
 
 
+def read_dataset_csv(path, expect_label):
+    names, values, labels, _ = uncertain_module._read_csv(path, expect_label)
+    return names, values, labels or []
+
+
 def assert_reads_like_oracle(path, expect_label):
-    got = outcome(lambda p: uncertain_module._read_csv(p, csvtext.read_text(p), expect_label), path)
+    got = outcome(lambda p: read_dataset_csv(p, expect_label), path)
     points = outcome(load_design_points, path)
     try:
         path.read_bytes().decode("utf-8")
@@ -73,6 +84,9 @@ def assert_reads_like_oracle(path, expect_label):
 def assert_same(expected, got):
     if isinstance(expected, str):
         assert got == expected
+        return
+    if isinstance(expected, csv.Error):  # NUL before Python 3.11: the package names the file and line
+        assert isinstance(got, str) and re.fullmatch(rf".*: row \d+: {re.escape(str(expected))}", got)
         return
     assert not isinstance(got, str), got
     assert got[0] == expected[0] and got[2] == expected[2]
@@ -92,9 +106,9 @@ def test_plain_dataset_files_take_the_one_pass_path(tmp_path):
         "1E5,\t2.5e-310,\r\n"
         ".5,5.,m".encode("utf-8")
     )
-    assert csvtext.read_plain(path, text_column=-1) is not None
+    with mock.patch.object(csvtext, "split_rows", side_effect=AssertionError("row path")):
+        names, values, labels = read_dataset_csv(path, expect_label=True)
     assert_reads_like_oracle(path, expect_label=True)
-    names, values, labels = uncertain_module._read_csv(path, csvtext.read_text(path), expect_label=True)
     assert names == ["a", "b"] and labels == ["g", "p q", "", "m"]
     assert values.tolist() == [[0.1, -0.0], [1.0, 5e-324], [1e5, 2.5e-310], [0.5, 5.0]]
 
@@ -132,14 +146,81 @@ def test_odd_dataset_files_read_as_the_row_reader_reads_them(tmp_path, body):
     assert_reads_like_oracle(path, expect_label=True)
 
 
+CURVE_RULE = csvtext.exact_header("u_m", "F_kN")
+
+
+def read_curve_by(split):
+    """``load_curve``'s reading through one of ``read_csv``'s two paths."""
+
+    def read(path):
+        try:
+            header, _, values, _ = split(csvtext.read_text(path), CURVE_RULE)
+        except IngestionError as exc:
+            raise IngestionError(f"{path}: {exc}") from None
+        return header, values, []
+
+    return read
+
+
+@pytest.mark.parametrize(
+    "body, plain",
+    [
+        ('"0",1\n"1,5",2\n', False),  # quoted fields
+        ("0,1\r1,2\r", False),  # bare CR line ends
+        ("0,1\r\n\r\n1,2\r\n", True),
+        ("0,1\n\n  \n1,2\n\n", True),  # blank lines
+        ("0,1_0\n", False),  # float() reads underscores, numpy does not
+        ("0,1\n,\n , \n1,2\n", False),  # rows of empty fields are blank
+        ("0,1\x1c\n", False),  # whitespace to numpy, not to float()
+        ("0,1,\n", False),  # a third, empty field
+        ("0\n1,2,3\n", False),  # one and three fields: the right comma total
+        ("\xa00,\t1 \n", True),  # whitespace around numbers
+        ("\u0660,1\n", False),  # a non-ASCII digit float() reads
+        ("0,nan\n1,-inf\n", True),
+        ("0,1e400\n", True),
+        ("0,1\n1,x\n", False),
+        ("0,1\x00\n", False),
+        ('"0\n",1\n\n1,x\n', False),  # a quoted line break before a bad number
+        ("", False),
+    ],
+)
+def test_odd_curve_files_read_as_the_row_reader_reads_them(tmp_path, body, plain):
+    """Under a curve header, the plain path (where it takes the file) and the
+    row path each read a file as the row reference reads it."""
+    path = tmp_path / "curve.csv"
+    for header in ("u_m,F_kN\n", " u_m , F_kN \r\n"):
+        path.write_bytes((header + body).encode("utf-8"))
+        expected = outcome(lambda p: oracle_read_csv(p, expect_label=False), path)
+        assert_same(expected, outcome(read_curve_by(csvtext.split_rows), path))
+        if plain:
+            assert_same(expected, outcome(read_curve_by(csvtext.split_plain), path))
+        else:
+            assert csvtext.split_plain(csvtext.read_text(path), CURVE_RULE) is None
+        if not isinstance(expected, tuple):  # the reference's error is load_curve's
+            with pytest.raises(IngestionError) as exc:
+                load_curve(path)
+            assert_same(expected, str(exc.value))
+
+
 def test_dataset_fields_over_the_csv_limit_read_as_the_row_reader_reads_them(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("a,label\n1," + "g" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
-    with pytest.raises(csv.Error) as expected:
-        oracle_read_csv(path, expect_label=True)
-    with pytest.raises(csv.Error) as got:
-        load_dataset(path, 0.0)
-    assert str(got.value) == str(expected.value)
+    """A field longer than ``csv.field_size_limit()``, which the row reader
+    rejects with ``csv.Error``, is an ``IngestionError`` naming the file and
+    the line its record starts on, in the dataset, point and curve formats."""
+    big = "9" * (csv.field_size_limit() + 1)
+    cases = [
+        ("a,label\n1,g\n", f'"2\n",{big}\n', 3, lambda p: oracle_read_csv(p, True), lambda p: load_dataset(p, 0.0)),
+        (f"a,{big}\n", "", 1, lambda p: oracle_read_csv(p, False), load_design_points),
+        ("id,x,y,z\n", f"{big},1,2,3\n", 2, oracle_load_points, load_points),
+        ("u_m,F_kN\n0,1\n\n", f"1,{big}\n", 4, lambda p: oracle_read_csv(p, False), load_curve),
+    ]
+    for header, body, line, oracle, load in cases:
+        path = tmp_path / "data.csv"
+        path.write_text(header + body, encoding="utf-8")
+        with pytest.raises(csv.Error) as expected:
+            oracle(path)
+        with pytest.raises(IngestionError) as got:
+            load(path)
+        assert str(got.value) == f"{path}: row {line}: {expected.value}"
 
 
 @pytest.mark.parametrize(
@@ -154,6 +235,78 @@ def test_bytes_that_are_not_utf8_name_the_file_and_row(tmp_path, data, row):
         load_dataset(path, 0.0)
     with pytest.raises(IngestionError, match=rf"data\.csv: row {row}: "):
         load_design_points(path)
+
+
+LOADERS = {
+    "dataset": lambda p: load_dataset(p, 0.0, ["g", "p"]),
+    "widened": lambda p: load_dataset(p, 0.1),
+    "design": load_design_points,
+    "point": load_points,
+    "curve": load_curve,
+    "histories": load_histories,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("dataset", 'a,label\n"1\n",g\n2,x\n', "row 4, column 'label': label 'x' not in declared label set ['g', 'p']"),
+        ("widened", 'a,label\n"1\n",g\n0,g\n',
+         "row 4, column 'a': mean must be nonzero when relative deviation > 0 (interval would be empty)"),
+        ("design", 'a,b\n"1\n",2\n3,x\n', "row 4, column 'b': could not parse 'x' as a number"),
+        ("point", 'id,x,y,z\n"a\nb",1,2,3\nc,1,nan,3\n', "row 4: non-finite coordinate"),
+        ("curve", 'u_m,F_kN\n"0\n",1\n1,x\n', "row 4, column 'F_kN': could not parse 'x' as a number"),
+        ("histories", 't_s,s1_mm,s2_mm,s3_mm,s4_mm\n"0\n",1,2,3,4\n1,2,3\n', "row 4: expected 5 fields, got 3"),
+    ],
+    ids=["dataset-label", "dataset-widen", "design", "point", "curve", "histories"],
+)
+def test_errors_name_the_file_line_after_a_quoted_line_break(tmp_path, kind, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(IngestionError) as exc:
+        LOADERS[kind](path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "kind, data",
+    [
+        pytest.param("dataset", b"a,label\n1,g\n", id="dataset"),
+        pytest.param("dataset", b'a,label\n"1",g\n', id="dataset-quoted"),
+        pytest.param("dataset", b"a,label\n1,x\n", id="dataset-label"),
+        pytest.param("dataset", b'a,label\n"1",x\n', id="dataset-quoted-label"),
+        pytest.param("dataset", b"a,b\n1,g\n", id="dataset-header"),
+        pytest.param("dataset", b"a,label\n1,g,3\n", id="dataset-fields"),
+        pytest.param("dataset", b"a,label\n1\x1c,g\n", id="dataset-number"),
+        pytest.param("dataset", b"a,label\n" + b"9" * (csv.field_size_limit() + 1) + b",g\n", id="dataset-csv-limit"),
+        pytest.param("dataset", b"a,label\n1,g\xe9\n", id="dataset-not-utf8"),
+        pytest.param("widened", b"a,label\n0,g\n", id="dataset-widen"),
+        pytest.param("widened", b'a,label\n"0",g\n', id="dataset-quoted-widen"),
+        pytest.param("design", b"a,b\n1,2\n", id="design"),
+        pytest.param("design", b"a,b,label\n1,2,g\r3,4,p\r", id="design-bare-cr"),
+        pytest.param("design", b"a,b\n1,x\n", id="design-number"),
+        pytest.param("point", b"id,x,y,z\na,1,2,3\n", id="point"),
+        pytest.param("point", b'id,x,y,z\n"a",1,2,3\n', id="point-quoted"),
+        pytest.param("point", b"id,x,y,z\na,1,2,nan\n", id="point-non-finite"),
+        pytest.param("point", b'id,x,y,z\n"a",1,2,nan\n', id="point-quoted-non-finite"),
+        pytest.param("point", b"id,x,y,z\na,1,2\n", id="point-fields"),
+        pytest.param("point", b"id,x,y\na,1,2\n", id="point-header"),
+        pytest.param("curve", b"u_m,F_kN\n0,1\n1,2\n", id="curve"),
+        pytest.param("curve", b'u_m,F_kN\n0,1\n"1",2\n', id="curve-quoted"),
+        pytest.param("curve", b"u_m,F_kN\n0,1\n1,x\n", id="curve-number"),
+        pytest.param("histories", b"t_s,s1_mm,s2_mm,s3_mm,s4_mm\n0,1,2,3,4\n1,2,3,4,5\n", id="histories"),
+        pytest.param("histories", b't_s,s1_mm,s2_mm,s3_mm,s4_mm\n0,1,2,3,4\n"1",2,3,4,5\n', id="histories-quoted"),
+    ],
+)
+def test_every_csv_load_opens_its_file_once(tmp_path, kind, data):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    with mock.patch("builtins.open", wraps=open) as opened:
+        try:
+            LOADERS[kind](path)
+        except (IngestionError, InvalidParameterError):
+            pass
+    assert [call.args[0] for call in opened.call_args_list].count(path) == 1
 
 
 NUMBERS = st.one_of(

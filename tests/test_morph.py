@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import designmine
 
 from _oracles import oracle_load_points
-from designmine import morph as morph_module
+from designmine import csvtext
 from designmine.errors import ConditioningError, IngestionError, InvalidParameterError
 from designmine.morph import (
     ControlPointSet,
@@ -287,10 +288,10 @@ def test_point_csv_rejects_non_finite(tmp_path, value):
 def test_point_csv_row_number_of_errors_counts_blank_lines(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_bytes(b"id,x,y,z\r\n1,1,2,3\r\n\r\n  \r\n2,1,2\r\n")
-    with pytest.raises(IngestionError, match=r"pts\.csv: row 5: wrong field count"):
+    with pytest.raises(IngestionError, match=r"pts\.csv: row 5: expected 4 fields, got 3"):
         load_points(path)
     path.write_bytes(b"id,x,y,z\n1,1,2,3\n2,1,x,3\n")
-    with pytest.raises(IngestionError, match=r"pts\.csv: row 3: bad coordinate"):
+    with pytest.raises(IngestionError, match=r"pts\.csv: row 3, column 'y': could not parse 'x' as a number"):
         load_points(path)
 
 
@@ -308,9 +309,8 @@ def test_plain_files_take_the_array_path(tmp_path):
         " spaced id ,-7,.5,5.".encode("utf-8")
     )
     expected_ids, expected = oracle_load_points(path)
-    plain = morph_module._read_plain(path)
-    assert plain is not None
-    ids, points = plain
+    with mock.patch.object(csvtext, "split_rows", side_effect=AssertionError("row path")):
+        ids, points = load_points(path)
     assert ids == expected_ids == ["n#1", "n\u20282", "", " spaced id "]
     assert np.array_equal(points, expected)
     assert np.array_equal(np.signbit(points), np.signbit(expected))
@@ -351,9 +351,9 @@ def test_point_csv_fields_over_the_csv_limit_read_as_the_row_reader_reads_them(t
     path.write_text("id,x,y,z\n" + "a" * (csv.field_size_limit() + 1) + ",1,2,3\n", encoding="utf-8")
     with pytest.raises(csv.Error) as exc:
         oracle_load_points(path)
-    with pytest.raises(csv.Error) as got:
+    with pytest.raises(IngestionError) as got:
         load_points(path)
-    assert str(got.value) == str(exc.value)
+    assert str(got.value) == f"{path}: row 2: {exc.value}"
 
 
 def outcome(loader, path):
