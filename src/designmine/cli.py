@@ -38,7 +38,7 @@ from .errors import (
     TreeConstructionError,
 )
 from .metrics import avgstiff, load_curve, load_histories, peak_force, peak_intrusion, sea, total_mass
-from .morph import ControlPointSet, apply_morph, fit_morph, load_points, save_points
+from .morph import apply_morph, fit_morph, load_control_points, load_points, save_points
 from .pipeline import run_demo
 from .rules import _finite_number, rule_from_payload, rules_payload, screen_designs
 from .surrogate import load_surrogate
@@ -286,12 +286,9 @@ def cmd_morph(args) -> int:
     run = Run("morph", args)
     for path in (args.original, args.displaced, args.nodes):
         run.add_input(path)
-    ids_o, original = load_points(args.original)
-    ids_d, displaced = load_points(args.displaced)
-    if ids_o != ids_d:
-        raise IngestionError("original and displaced control point ids do not match")
+    control = load_control_points(args.original, args.displaced)
     ids_n, nodes = load_points(args.nodes)
-    morph = fit_morph(ControlPointSet(original, displaced), args.regularization)
+    morph = fit_morph(control, args.regularization)
     moved = apply_morph(morph, nodes)
     save_points(args.out, ids_n, moved)
     run.stamp(args.out)

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import IngestionError
 
 __all__ = [
-    "ROW_READER_CHARS", "exact_header", "read_text", "read_json", "read_csv", "split_plain", "split_rows"
+    "ROW_READER_CHARS", "exact_header", "read_text", "read_json", "read_csv", "require_finite", "split_plain",
+    "split_rows",
 ]
 
 #: Characters that send a file to the row reader: a quote (CSV quoting), a
@@ -90,6 +91,15 @@ def read_csv(path, header_rule):
         return split_plain(text, header_rule) or split_rows(text, header_rule)
     except IngestionError as exc:
         raise IngestionError(f"{path}: {exc}") from None
+
+
+def require_finite(path, values, lines, what):
+    """Raise ``IngestionError`` naming the file and the line of the first row
+    of ``values`` (as ``read_csv`` returns them) that holds a NaN or an
+    infinity: ``<path>: row N: non-finite <what>``."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise IngestionError(f"{path}: row {lines[int(finite.argmin())]}: non-finite {what}")
 
 
 def _number_columns(header, text_column):

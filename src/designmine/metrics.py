@@ -7,13 +7,14 @@ samples as given (no interpolation beyond linear).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .csvtext import exact_header, read_csv
-from .errors import InvalidParameterError
+from .csvtext import exact_header, read_csv, require_finite
+from .errors import IngestionError, InvalidParameterError
 from .uncertain import _total
 
 __all__ = [
@@ -55,9 +56,8 @@ class ForceDeflectionCurve:
         return float(self.u[-1])
 
     def absorbed_energy(self) -> float:
-        """Area under the curve in kJ (kN * m), by the trapezoid rule in
-        ``np.trapezoid``'s operation order (numpy < 2 has no ``trapezoid``)."""
-        return float((np.diff(self.u) * (self.force[1:] + self.force[:-1]) / 2.0).sum())
+        """Area under the curve in kJ (kN * m)."""
+        return float(_absorbed_energy(self.u, self.force))
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class ResponseRecord:
 
     def __post_init__(self):
         values = [self.f_p, self.s_p, self.mass, self.sea, *self.avgstiff.values()]
-        if not all(np.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise InvalidParameterError("response values must be finite")
         if self.mass <= 0:
             raise InvalidParameterError("mass must be positive")
@@ -112,13 +112,43 @@ class ResponseRecord:
         raise InvalidParameterError(f"response {name!r} missing from record")
 
 
+# --- the metric arithmetic, on one curve or on a batch of them ------------------------
+#
+# Each kernel works along the last axis, so the surrogate responder evaluates
+# a whole design matrix with the same expressions the scalar metrics use.
+
+
+def _absorbed_energy(u, force):
+    """Area under each curve along the last axis, in kJ, by the trapezoid
+    rule in ``np.trapezoid``'s operation order (numpy < 2 has no
+    ``trapezoid``).  Each curve's terms are summed as a 1-D array of their
+    own: ``sum(axis=-1)`` over a 2-D batch can add in another order (it does
+    for a column-major one), and an area would then depend on its batch."""
+    terms = np.diff(u) * (force[..., 1:] + force[..., :-1]) / 2.0
+    sums = [row.sum() for row in terms.reshape(-1, terms.shape[-1])]
+    return np.array(sums).reshape(terms.shape[:-1])
+
+
+def _avgstiff(energy, final_deflection):
+    return energy / (final_deflection * final_deflection)
+
+
+def _sea(energy, mass):
+    return energy * 1e3 / mass
+
+
+def _peak_intrusion(signals):
+    """Peak over time of the four-marker average, markers on the first axis."""
+    return np.max(np.mean(signals, axis=0), axis=-1)
+
+
 def avgstiff(curve: ForceDeflectionCurve) -> float:
     """Mean crush force over final deflection (kN/m): the curve integral
     divided by the squared final deflection."""
     d = curve.final_deflection
     if d <= 0:
         raise InvalidParameterError("degenerate curve: final deflection is zero")
-    return curve.absorbed_energy() / (d * d)
+    return _avgstiff(curve.absorbed_energy(), d)
 
 
 def peak_force(forces: Sequence[float]) -> float:
@@ -131,7 +161,7 @@ def peak_force(forces: Sequence[float]) -> float:
 
 def peak_intrusion(histories: IntrusionHistories) -> float:
     """Maximum over time of the four-marker average intrusion (mm)."""
-    return float(np.max(np.mean(histories.signals, axis=0)))
+    return float(_peak_intrusion(histories.signals))
 
 
 def total_mass(masses: Sequence[float]) -> float:
@@ -145,16 +175,33 @@ def sea(curve: ForceDeflectionCurve, mass: float) -> float:
     """Specific energy absorption (J/kg): absorbed energy per unit mass."""
     if mass <= 0:
         raise InvalidParameterError("mass must be positive")
-    return curve.absorbed_energy() * 1e3 / mass
+    return _sea(curve.absorbed_energy(), mass)
+
+
+def _read_finite(path, *header):
+    """The number columns of a CSV with exactly ``header``, every value finite."""
+    _, _, values, lines = read_csv(path, exact_header(*header))
+    require_finite(path, values, lines, "value")
+    return values
 
 
 def load_curve(path) -> ForceDeflectionCurve:
-    """Read a `u_m,F_kN` CSV."""
-    _, _, values, _ = read_csv(path, exact_header("u_m", "F_kN"))
-    return ForceDeflectionCurve(values[:, 0], values[:, 1])
+    """Read a `u_m,F_kN` CSV.  A value that is not finite, or a curve that is
+    not a valid ``ForceDeflectionCurve``, raises ``IngestionError`` naming
+    the file."""
+    values = _read_finite(path, "u_m", "F_kN")
+    try:
+        return ForceDeflectionCurve(values[:, 0], values[:, 1])
+    except InvalidParameterError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
 
 
 def load_histories(path) -> IntrusionHistories:
-    """Read a `t_s,s1_mm,s2_mm,s3_mm,s4_mm` CSV."""
-    _, _, values, _ = read_csv(path, exact_header("t_s", "s1_mm", "s2_mm", "s3_mm", "s4_mm"))
-    return IntrusionHistories(values[:, 0], values[:, 1:].T.copy())
+    """Read a `t_s,s1_mm,s2_mm,s3_mm,s4_mm` CSV.  A value that is not
+    finite, or histories that are not valid ``IntrusionHistories``, raise
+    ``IngestionError`` naming the file."""
+    values = _read_finite(path, "t_s", "s1_mm", "s2_mm", "s3_mm", "s4_mm")
+    try:
+        return IntrusionHistories(values[:, 0], values[:, 1:].T.copy())
+    except InvalidParameterError as exc:
+        raise IngestionError(f"{path}: {exc}") from None

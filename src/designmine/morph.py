@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open
-from .csvtext import exact_header, read_csv
+from .csvtext import exact_header, read_csv, require_finite
 from .errors import ConditioningError, IngestionError, InvalidParameterError
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "fit_morph",
     "apply_morph",
     "load_points",
+    "load_control_points",
     "save_points",
 ]
 
@@ -165,16 +166,40 @@ def apply_morph(morph: MorphMap, nodes) -> np.ndarray:
     return a @ morph.kernel_weights + nodes @ morph.affine + morph.offset
 
 
+def _read_points(path):
+    """``load_points`` of a file, and the line each point is on."""
+    _, ids, points, lines = read_csv(path, _POINT_HEADER)
+    if not ids:  # an empty (0,) array, which ControlPointSet and apply_morph reject
+        return ids, np.asarray([], dtype=float), lines
+    require_finite(path, points, lines, "coordinate")
+    return ids, points, lines
+
+
 def load_points(path):
     """Read an `id,x,y,z` CSV; ids come back verbatim as strings.  Every
     coordinate must be a finite number."""
-    _, ids, points, lines = read_csv(path, _POINT_HEADER)
-    if not ids:  # an empty (0,) array, which ControlPointSet and apply_morph reject
-        return ids, np.asarray([], dtype=float)
-    if not np.isfinite(points).all():
-        bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
-        raise IngestionError(f"{path}: row {lines[bad]}: non-finite coordinate")
+    ids, points, _ = _read_points(path)
     return ids, points
+
+
+def load_control_points(original, displaced) -> ControlPointSet:
+    """The control points of two `id,x,y,z` CSVs that list the same ids in
+    the same order: their positions before and after the displacement.  Ids
+    that differ raise ``IngestionError`` naming both files and the rows of
+    the first difference."""
+    ids_o, points_o, lines_o = _read_points(original)
+    ids_d, points_d, lines_d = _read_points(displaced)
+    if ids_o != ids_d:
+        pairs = zip(ids_o, ids_d)
+        at = next((i for i, (a, b) in enumerate(pairs) if a != b), min(len(ids_o), len(ids_d)))
+        where = ", ".join(
+            f"{path} row {lines[at]} has id {ids[at]!r}" if at < len(ids) else f"{path} ends after {at} points"
+            for path, ids, lines in ((original, ids_o, lines_o), (displaced, ids_d, lines_d))
+        )
+        raise IngestionError(
+            f"original and displaced control point ids do not match at point {at + 1}: {where}"
+        )
+    return ControlPointSet(points_o, points_d)
 
 
 def _csv_field(text: str) -> str:

@@ -21,7 +21,7 @@ from .rules import (
     rules_payload,
     screen_designs,
 )
-from .surrogate import ComponentSpec, SurrogateSpec, surrogate_respond
+from .surrogate import ComponentSpec, SurrogateSpec, surrogate_responses
 from .tree import UncertainTree, TreeConfig, build_tree, training_accuracy
 from .uncertain import Dataset, _total, apply_labels, dataset_from_design
 
@@ -89,7 +89,7 @@ def run_component(
     )
     bounds = tuple(problem.bounds())
     design = lhs(SamplingPlan(bounds, n_train, seed))
-    records = [surrogate_respond(x, comp) for x in design]
+    records = surrogate_responses(design, comp)
     labels = apply_labels(records, problem.criteria)
     dataset = dataset_from_design(
         comp.variable_names, design, labels, uncertainty, problem.criteria.labels
@@ -124,21 +124,25 @@ def run_component(
 
 
 def recombine(results, n_system: int = 20, seed: int = 0) -> list:
-    """Sample system designs by drawing one screened final per component."""
+    """Sample system designs by drawing one screened final per component.
+
+    The draws come system by system, component by component; then each
+    component responds to its chosen rows in one call."""
     rng = np.random.default_rng(seed)
+    picks = [[res.finals[int(rng.integers(0, len(res.finals)))] for res in results] for _ in range(n_system)]
+    chosen = []  # per component: the rows its finals put in each system, and their records
+    for c, res in enumerate(results):
+        rows = res.candidates[[system[c].id - 1 for system in picks]]
+        chosen.append((rows.tolist(), surrogate_responses(rows, res.component)))
     designs = []
-    for j in range(1, n_system + 1):
+    for j, system in enumerate(picks):
         choices, variables, responses = {}, {}, {}
-        for res in results:
-            pick = int(rng.integers(0, len(res.finals)))
-            chosen = res.finals[pick]
-            row = res.candidates[chosen.id - 1]
-            choices[res.component.name] = chosen.rank
-            for name, value in zip(res.component.variable_names, row):
-                variables[name] = float(value)
-            record = surrogate_respond(row, res.component)
-            responses[res.component.name] = {"SEA": record.sea, "M": record.mass}
-        designs.append(SystemDesign(j, choices, variables, responses))
+        for res, final, (rows, records) in zip(results, system, chosen):
+            name = res.component.name
+            choices[name] = final.rank
+            variables.update(zip(res.component.variable_names, rows[j]))
+            responses[name] = {"SEA": records[j].sea, "M": records[j].mass}
+        designs.append(SystemDesign(j + 1, choices, variables, responses))
     return designs
 
 

@@ -6,7 +6,9 @@ physical quantities mass, peak force, final deflection, and intrusion, and
 the labelling thresholds.  From those the responder synthesizes a
 force-deflection curve and intrusion histories and derives all response
 metrics through the same operations used on measured data, so responses are
-deterministic functions of the design vector.
+deterministic functions of the design vector.  The responder evaluates a
+whole design matrix in one pass, and a design's record is bit for bit the
+one it gets evaluated alone.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from .metrics import (
     ForceDeflectionCurve,
     IntrusionHistories,
     ResponseRecord,
-    avgstiff,
-    peak_force,
-    peak_intrusion,
-    sea,
+    _absorbed_energy,
+    _avgstiff,
+    _peak_intrusion,
+    _sea,
 )
 from .uncertain import LabelCriteria, load_criteria
 
@@ -37,9 +39,10 @@ __all__ = [
     "surrogate_curve",
     "surrogate_histories",
     "surrogate_respond",
+    "surrogate_responses",
 ]
 
-_MARKER_WEIGHTS = (0.9, 0.95, 1.05, 1.1)
+_MARKER_WEIGHTS = np.array([[0.9], [0.95], [1.05], [1.1]])
 
 
 @dataclass(frozen=True)
@@ -51,14 +54,19 @@ class Polynomial:
     quadratic: tuple = ()
     interactions: tuple = ()
 
-    def evaluate(self, x: Mapping[str, float]) -> float:
-        value = self.const
+    def evaluate(self, columns: Mapping[str, list], n: int) -> list:
+        """The value at each of ``n`` designs, from the designs' columns of
+        floats by variable name.  Each design's value is the sum of its terms
+        in declaration order in Python float arithmetic: a square is
+        ``v ** 2`` (libm ``pow``), which can differ in the last bit from the
+        ``v * v`` numpy computes for ``a ** 2``."""
+        value = [self.const] * n
         for name, c in self.linear:
-            value += c * x[name]
+            value = [v + c * x for v, x in zip(value, columns[name])]
         for name, c in self.quadratic:
-            value += c * x[name] ** 2
+            value = [v + c * x**2 for v, x in zip(value, columns[name])]
         for a, b, c in self.interactions:
-            value += c * x[a] * x[b]
+            value = [v + c * xa * xb for v, xa, xb in zip(value, columns[a], columns[b])]
         return value
 
 
@@ -85,20 +93,6 @@ class ComponentSpec:
     def bounds(self) -> list:
         return [(lo, hi) for _, lo, hi in self.variables]
 
-    def check_inside(self, x: Sequence[float]) -> dict:
-        if len(x) != len(self.variables):
-            raise InvalidParameterError(
-                f"{self.name}: expected {len(self.variables)} variables, got {len(x)}"
-            )
-        values = {}
-        for (name, lo, hi), v in zip(self.variables, x):
-            if not lo <= v <= hi:
-                raise InvalidParameterError(
-                    f"{self.name}: {name}={v} outside bounds [{lo}, {hi}]"
-                )
-            values[name] = float(v)
-        return values
-
 
 @dataclass(frozen=True)
 class SurrogateSpec:
@@ -113,51 +107,122 @@ class SurrogateSpec:
         raise InvalidParameterError(f"no component {name!r} in surrogate {self.name!r}")
 
 
-def surrogate_curve(x: Sequence[float], comp: ComponentSpec) -> ForceDeflectionCurve:
-    """Ramp-plateau crush curve: force rises linearly to its peak over the
-    first ``ramp_fraction`` of the deflection, then holds."""
-    values = comp.check_inside(x)
-    f_peak = comp.peak.evaluate(values)
-    d = comp.deflection.evaluate(values)
-    if f_peak <= 0 or d <= 0:
+# --- the responder: one pass over a design matrix, one design per row -------------
+
+#: The checks of the responder: the polynomials each reads, and its message
+#: for a design where one of them is not positive.
+_CHECKS = {
+    "mass": (("mass",), "non-physical mass {} kg"),
+    "curve": (("peak", "deflection"), "non-physical curve (peak {} kN, deflection {} m)"),
+    "intrusion": (("intrusion",), "non-physical intrusion {} mm"),
+}
+
+
+def _columns(comp: ComponentSpec, design) -> dict:
+    """Each variable's column of a design matrix, by name, as floats.  A
+    matrix of the wrong width, or a value outside its variable's bounds,
+    raises ``InvalidParameterError`` for the first such row."""
+    x = np.asarray(design, dtype=float)
+    if x.ndim != 2 or x.shape[1] != len(comp.variables):
         raise InvalidParameterError(
-            f"{comp.name}: non-physical curve (peak {f_peak} kN, deflection {d} m)"
+            f"{comp.name}: expected {len(comp.variables)} variables, got {x.shape[-1]}"
         )
-    u = np.linspace(0.0, d, comp.curve_points)
-    force = f_peak * np.clip(u / (comp.ramp_fraction * d), 0.0, 1.0)
-    return ForceDeflectionCurve(u, force)
+    for row in x.tolist():
+        for (name, lo, hi), v in zip(comp.variables, row):
+            if not lo <= v <= hi:
+                raise InvalidParameterError(f"{comp.name}: {name}={v} outside bounds [{lo}, {hi}]")
+    return dict(zip(comp.variable_names, x.T.tolist()))
 
 
-def surrogate_histories(x: Sequence[float], comp: ComponentSpec) -> IntrusionHistories:
-    """Four smoothstep marker signals rising to weighted copies of the
-    intrusion value; their four-marker average peaks at exactly that value."""
-    values = comp.check_inside(x)
-    s_final = comp.intrusion.evaluate(values)
-    if s_final <= 0:
-        raise InvalidParameterError(f"{comp.name}: non-physical intrusion {s_final} mm")
-    t = np.linspace(0.0, comp.duration_s, comp.history_points)
+def _physical(comp: ComponentSpec, design, checks) -> dict:
+    """The polynomials that ``checks`` read, by name, each an array over the
+    rows of a design matrix.  The first row where one of them is not
+    positive raises ``InvalidParameterError`` with the message of the first
+    check it fails."""
+    columns = _columns(comp, design)
+    n = len(design)
+    names = [name for check in checks for name in _CHECKS[check][0]]
+    values = np.array([getattr(comp, name).evaluate(columns, n) for name in names])
+    bad = values <= 0
+    if bad.any():
+        row = dict(zip(names, values[:, bad.any(axis=0).argmax()].tolist()))
+        for check in checks:
+            polynomials, message = _CHECKS[check]
+            if any(row[name] <= 0 for name in polynomials):
+                found = message.format(*(row[name] for name in polynomials))
+                raise InvalidParameterError(f"{comp.name}: {found}")
+    return dict(zip(names, values))
+
+
+def _grid(stop, points: int):
+    """``np.linspace(0, stop, points)`` along a new last axis, for a scalar
+    or an array of ``stop`` values: numpy's arithmetic (point i is i times
+    ``stop / (points - 1)``, the last one exactly ``stop``) without its
+    per-call cost."""
+    stop = np.asarray(stop, dtype=float)[..., None]
+    grid = np.arange(points) * (stop / (points - 1))
+    grid[..., -1:] = stop
+    return grid
+
+
+def _curves(comp: ComponentSpec, f_peak, d):
+    """(n, points) deflection and force grids of ramp-plateau crush curves:
+    the force rises linearly to its peak over the first ``ramp_fraction`` of
+    the deflection, then holds."""
+    u = _grid(d, comp.curve_points)
+    force = f_peak[:, None] * np.clip(u / (comp.ramp_fraction * d)[:, None], 0.0, 1.0)
+    return u, force
+
+
+def _histories(comp: ComponentSpec, s_final):
+    """The time grid and (4, n, points) intrusion signals: per design, four
+    smoothstep marker signals rising to weighted copies of its intrusion
+    value, whose four-marker average peaks at exactly that value."""
+    t = _grid(comp.duration_s, comp.history_points)
     tau = t / comp.duration_s
     shape = 3.0 * tau**2 - 2.0 * tau**3
-    signals = np.stack([w * s_final * shape for w in _MARKER_WEIGHTS])
-    return IntrusionHistories(t, signals)
+    return t, (_MARKER_WEIGHTS * s_final)[:, :, None] * shape
+
+
+def surrogate_responses(design, comp: ComponentSpec) -> list:
+    """One response record per row of a design matrix, derived from the
+    designs' synthetic curves and histories through the standard metric
+    arithmetic.  A record depends on its own row only."""
+    values = _physical(comp, design, ("mass", "curve", "intrusion"))
+    mass, d = values["mass"], values["deflection"]
+    u, force = _curves(comp, values["peak"], d)
+    _, signals = _histories(comp, values["intrusion"])
+    energy = _absorbed_energy(u, force)
+    rows = zip(
+        force.max(axis=1).tolist(),
+        _peak_intrusion(signals).tolist(),
+        mass.tolist(),
+        _sea(energy, mass).tolist(),
+        _avgstiff(energy, d).tolist(),
+    )
+    return [
+        ResponseRecord(f_p=f_p, s_p=s_p, mass=m, sea=e, avgstiff={comp.name: k})
+        for f_p, s_p, m, e, k in rows
+    ]
 
 
 def surrogate_respond(x: Sequence[float], comp: ComponentSpec) -> ResponseRecord:
-    """Full response record for one design vector, derived from the synthetic
-    curve and histories through the standard metric operations."""
-    values = comp.check_inside(x)
-    mass = comp.mass.evaluate(values)
-    if mass <= 0:
-        raise InvalidParameterError(f"{comp.name}: non-physical mass {mass} kg")
-    curve = surrogate_curve(x, comp)
-    histories = surrogate_histories(x, comp)
-    return ResponseRecord(
-        f_p=peak_force(curve.force),
-        s_p=peak_intrusion(histories),
-        mass=mass,
-        sea=sea(curve, mass),
-        avgstiff={comp.name: avgstiff(curve)},
-    )
+    """Full response record for one design vector: ``surrogate_responses``
+    of a one-row design matrix."""
+    return surrogate_responses([x], comp)[0]
+
+
+def surrogate_curve(x: Sequence[float], comp: ComponentSpec) -> ForceDeflectionCurve:
+    """The ramp-plateau crush curve of one design vector."""
+    values = _physical(comp, [x], ("curve",))
+    u, force = _curves(comp, values["peak"], values["deflection"])
+    return ForceDeflectionCurve(u[0], force[0])
+
+
+def surrogate_histories(x: Sequence[float], comp: ComponentSpec) -> IntrusionHistories:
+    """The four marker intrusion histories of one design vector."""
+    t, signals = _histories(comp, _physical(comp, [x], ("intrusion",))["intrusion"])
+    return IntrusionHistories(t, signals[:, 0])
 
 
 # --- spec file parsing --------------------------------------------------------
@@ -176,7 +241,19 @@ def _polynomial(data) -> Polynomial:
     )
 
 
-def _component(data) -> ComponentSpec:
+def _check_grids(comp: ComponentSpec, origin: str) -> None:
+    """The curve and histories settings the responder's grids rely on."""
+    for field, value, ok, rule in (
+        ("curve.ramp_fraction", comp.ramp_fraction, 0.0 < comp.ramp_fraction <= 1.0, "in (0, 1]"),
+        ("curve.points", comp.curve_points, comp.curve_points >= 2, "at least 2"),
+        ("histories.points", comp.history_points, comp.history_points >= 2, "at least 2"),
+        ("histories.duration_s", comp.duration_s, 0.0 < comp.duration_s < np.inf, "finite and positive"),
+    ):
+        if not ok:
+            raise IngestionError(f"{origin}component {comp.name!r}: {field} is {value}, must be {rule}")
+
+
+def _component(data, origin: str) -> ComponentSpec:
     try:
         variables = tuple(
             (str(v["name"]), float(v["lower"]), float(v["upper"]))
@@ -185,7 +262,7 @@ def _component(data) -> ComponentSpec:
         responses = data["responses"]
         curve = data.get("curve", {})
         histories = data.get("histories", {})
-        return ComponentSpec(
+        comp = ComponentSpec(
             name=str(data["name"]),
             variables=variables,
             mass=_polynomial(responses.get("mass")),
@@ -200,17 +277,22 @@ def _component(data) -> ComponentSpec:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"malformed surrogate component: {exc}") from exc
+    _check_grids(comp, origin)
+    return comp
 
 
 def load_surrogate(source) -> SurrogateSpec:
-    """Read a surrogate spec from a JSON file path or a parsed dict."""
+    """Read a surrogate spec from a JSON file path or a parsed dict.  A
+    component whose curve or histories settings the responder cannot use
+    raises ``IngestionError`` naming the file, the component and the field."""
     is_path = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     data = read_json(source) if is_path else source
+    origin = f"{source}: " if is_path else ""
     try:
         return SurrogateSpec(
             name=str(data["name"]),
             version=int(data.get("version", 1)),
-            components=tuple(_component(c) for c in data["components"]),
+            components=tuple(_component(c, origin) for c in data["components"]),
         )
     except (AttributeError, KeyError, TypeError) as exc:
         raise IngestionError(f"malformed surrogate spec: {exc}") from exc

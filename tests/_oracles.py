@@ -12,7 +12,12 @@ they are the definitions the array core of ``designmine.tree`` must reproduce
 bit for bit.  The row-by-row point CSV reader is the definition the array
 reader of ``designmine.morph.load_points`` must reproduce: same ids, same
 coordinates, same error messages; the row-by-row dataset CSV reader is the
-one ``designmine.uncertain``'s one-pass dataset reader must reproduce.
+one ``designmine.uncertain``'s one-pass dataset reader must reproduce.  The
+per-design surrogate responder (``oracle_respond``, ``oracle_curve``,
+``oracle_histories``) is the definition the design-matrix responder of
+``designmine.surrogate`` must reproduce bit for bit: Python float polynomials,
+one ``np.linspace`` grid per design, and the metric arithmetic of
+``designmine.metrics`` written out for one curve.
 """
 
 import csv
@@ -22,7 +27,8 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from designmine.errors import IngestionError
+from designmine.errors import IngestionError, InvalidParameterError
+from designmine.metrics import ForceDeflectionCurve, IntrusionHistories, ResponseRecord
 from designmine.tree import LeafNode, SplitCandidate, SplitNode, UncertainTree
 from designmine.uncertain import partition_tuple
 
@@ -458,3 +464,77 @@ def oracle_load_design_points(path):
     has_label = header.strip().split(",")[-1].strip() == "label"
     names, rows, labels = oracle_read_csv(path, expect_label=has_label)
     return names, rows, (labels if has_label else None)
+
+
+# --- per-design surrogate responder ------------------------------------------------
+
+_MARKER_WEIGHTS = (0.9, 0.95, 1.05, 1.1)
+
+
+def _evaluate(poly, x):
+    value = poly.const
+    for name, c in poly.linear:
+        value += c * x[name]
+    for name, c in poly.quadratic:
+        value += c * x[name] ** 2
+    for a, b, c in poly.interactions:
+        value += c * x[a] * x[b]
+    return value
+
+
+def _check_inside(comp, x):
+    if len(x) != len(comp.variables):
+        raise InvalidParameterError(
+            f"{comp.name}: expected {len(comp.variables)} variables, got {len(x)}"
+        )
+    values = {}
+    for (name, lo, hi), v in zip(comp.variables, x):
+        if not lo <= v <= hi:
+            raise InvalidParameterError(
+                f"{comp.name}: {name}={v} outside bounds [{lo}, {hi}]"
+            )
+        values[name] = float(v)
+    return values
+
+
+def oracle_curve(x, comp):
+    values = _check_inside(comp, x)
+    f_peak = _evaluate(comp.peak, values)
+    d = _evaluate(comp.deflection, values)
+    if f_peak <= 0 or d <= 0:
+        raise InvalidParameterError(
+            f"{comp.name}: non-physical curve (peak {f_peak} kN, deflection {d} m)"
+        )
+    u = np.linspace(0.0, d, comp.curve_points)
+    force = f_peak * np.clip(u / (comp.ramp_fraction * d), 0.0, 1.0)
+    return ForceDeflectionCurve(u, force)
+
+
+def oracle_histories(x, comp):
+    values = _check_inside(comp, x)
+    s_final = _evaluate(comp.intrusion, values)
+    if s_final <= 0:
+        raise InvalidParameterError(f"{comp.name}: non-physical intrusion {s_final} mm")
+    t = np.linspace(0.0, comp.duration_s, comp.history_points)
+    tau = t / comp.duration_s
+    shape = 3.0 * tau**2 - 2.0 * tau**3
+    signals = np.stack([w * s_final * shape for w in _MARKER_WEIGHTS])
+    return IntrusionHistories(t, signals)
+
+
+def oracle_respond(x, comp):
+    values = _check_inside(comp, x)
+    mass = _evaluate(comp.mass, values)
+    if mass <= 0:
+        raise InvalidParameterError(f"{comp.name}: non-physical mass {mass} kg")
+    curve = oracle_curve(x, comp)
+    histories = oracle_histories(x, comp)
+    energy = float((np.diff(curve.u) * (curve.force[1:] + curve.force[:-1]) / 2.0).sum())
+    d = float(curve.u[-1])
+    return ResponseRecord(
+        f_p=float(np.max(curve.force)),
+        s_p=float(np.max(np.mean(histories.signals, axis=0))),
+        mass=mass,
+        sea=energy * 1e3 / mass,
+        avgstiff={comp.name: energy / (d * d)},
+    )

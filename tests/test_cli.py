@@ -421,6 +421,29 @@ def test_metrics_command(tmp_path, capsys):
     assert run("metrics", "--out", str(tmp_path / "m2.json")) == 2
 
 
+CURVE = "u_m,F_kN\n"
+HISTORIES = "t_s,s1_mm,s2_mm,s3_mm,s4_mm\n"
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--curve", CURVE + "0,nan\n0.1,5\n", "row 2: non-finite value"),
+        ("--curve", CURVE + "0,1\n\n0.1,-inf\n", "row 4: non-finite value"),
+        ("--histories", HISTORIES + "0,1,2,3,4\n0.05,1,2,inf,4\n", "row 3: non-finite value"),
+        ("--curve", CURVE + "0,1\n0.2,2\n0.1,3\n", "deflection must be strictly increasing"),
+        ("--curve", CURVE + "0.1,1\n0.2,2\n", "deflection must start at 0"),
+        ("--histories", HISTORIES + "0,1,2,3,4\n0,1,2,3,4\n", "time grid must be 1-d and strictly increasing"),
+    ],
+)
+def test_metrics_rejects_curves_and_histories_naming_the_file(tmp_path, capsys, flag, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    assert run("metrics", flag, str(path), "--mass", "1.0", "--out", str(tmp_path / "m.json")) == 2
+    assert capsys.readouterr().err == f"error[IngestionError]: {path}: {message}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 # --- morph -------------------------------------------------------------------------
 
 
@@ -464,14 +487,25 @@ def test_morph_coplanar_exits_5(tmp_path):
                "--nodes", str(tmp_path / "n.csv"), "--out", str(tmp_path / "x.csv")) == 5
 
 
-def test_morph_id_mismatch_exits_2(tmp_path):
+def test_morph_id_mismatch_exits_2(tmp_path, capsys):
     pts = np.random.default_rng(2).uniform(-1, 1, size=(5, 3))
-    write_points(tmp_path / "o.csv", ["1", "2", "3", "4", "5"], pts)
-    write_points(tmp_path / "d.csv", ["1", "2", "3", "4", "9"], pts)
+    o, d = tmp_path / "o.csv", tmp_path / "d.csv"
+    write_points(o, ["1", "2", "3", "4", "5"], pts)
+    write_points(d, ["1", "2", "3", "4", "9"], pts)
     write_points(tmp_path / "n.csv", ["a"], np.array([[0.0, 0.0, 0.0]]))
-    assert run("morph", "--original", str(tmp_path / "o.csv"),
-               "--displaced", str(tmp_path / "d.csv"),
-               "--nodes", str(tmp_path / "n.csv"), "--out", str(tmp_path / "x.csv")) == 2
+    argv = ["morph", "--original", str(o), "--displaced", str(d),
+            "--nodes", str(tmp_path / "n.csv"), "--out", str(tmp_path / "x.csv")]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        "error[IngestionError]: original and displaced control point ids do not match at "
+        f"point 5: {o} row 6 has id '5', {d} row 6 has id '9'\n"
+    )
+    write_points(d, ["1", "2", "3", "4"], pts[:4])
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        "error[IngestionError]: original and displaced control point ids do not match at "
+        f"point 5: {o} row 6 has id '5', {d} ends after 4 points\n"
+    )
 
 
 # --- input that is not UTF-8 --------------------------------------------------------
@@ -598,6 +632,31 @@ def test_a_spec_with_a_list_where_an_object_goes_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and err.startswith("error[IngestionError]: malformed surrogate")
 
 
+@pytest.mark.parametrize(
+    "section, field, value, rule",
+    [
+        ("curve", "ramp_fraction", -1.0, "in (0, 1]"),
+        ("curve", "ramp_fraction", 0.0, "in (0, 1]"),
+        ("curve", "ramp_fraction", 1.5, "in (0, 1]"),
+        ("curve", "points", 1, "at least 2"),
+        ("histories", "points", 1, "at least 2"),
+        ("histories", "duration_s", 0.0, "finite and positive"),
+        ("histories", "duration_s", float("nan"), "finite and positive"),
+        ("histories", "duration_s", float("inf"), "finite and positive"),
+    ],
+)
+def test_a_spec_with_grids_the_responder_cannot_use_exits_2(tmp_path, capsys, section, field, value, rule):
+    spec = json.loads(bundled_surrogate_text())
+    spec["components"][1][section] = {field: value}
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(spec), encoding="utf-8")
+    assert run("demo", "--spec", str(bad), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"error[IngestionError]: {bad}: component 'P3': {section}.{field} is {value}, must be {rule}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_names_the_row_and_column_of_a_cell_it_cannot_widen(tmp_path, capsys):
     path = tmp_path / "zero.csv"
     path.write_text("a,b,label\n1.0,2.0,g\n\n3.0,0.0,p\n", encoding="utf-8")
@@ -675,6 +734,39 @@ def test_demo_small_run_deterministic(tmp_path):
         manifest = manifest_of(out1 / f"{comp}_tree.json")
         assert manifest["command"] == "demo"
         assert manifest["seed"] == 3
+
+
+#: SHA-256 of every output of ``designmine demo --seed 7`` at the command's
+#: defaults (manifests aside): the DOE responses and labels, trees, rules,
+#: candidates and the recombined systems' SEA and mass.
+DEMO_SEED7_DIGESTS = {
+    "P2_candidates.csv": "ae5a4dcf2d16e8a5735d9215936f966bd151ae4deef5317278007456628a7d90",
+    "P2_data.csv": "293fe24e7ea9c62b07337a76b1fc6e8ee8ef0a4e4bdd5fa9898f9d0ff00af531",
+    "P2_rules.json": "6bcf96c3f8ab4cc4a924b852bc310e9b3f4497f060a98a44dbed398600a1fc17",
+    "P2_samples.csv": "88f2e6efb2fc7f87c77211306bbcfd685e109d6ec21540f4525bb482940e8897",
+    "P2_screened.csv": "c9f0ed00d25f3a26f5f913e9b2756d7aa19374fc3771892ffc7aa004cc95d77a",
+    "P2_tree.json": "40d47268a35a3ca53e4b89b9a602619478a00374ad4bd3cbce0513fe7d8c2ff5",
+    "P3_candidates.csv": "9b60142f1696b992d56b25fca96d2d22435c96903dd757706cccd99b94f0acaa",
+    "P3_data.csv": "f1c34f3eac4f4cb0d009413c84b859bc65e79c8fb0d9ddd18c97dcc1328853a6",
+    "P3_rules.json": "45a32cb25718825e84a9fb1db778ca07301970890b1299692b1834549871c2a7",
+    "P3_samples.csv": "9aecf85d3bb46c53f6f40ba96e0e08072eefd6a32885027aabffda465d5e86cd",
+    "P3_screened.csv": "5c017826df046f716b57f4d95207de879dbe039d3a33d1211adc2fa9a5abfb03",
+    "P3_tree.json": "47e4242e86581e82ba1b70cd9bec506f1fb1af58dce60b4bf8fe8a5a838b61ce",
+    "P4_candidates.csv": "723cd683ef500de30ca34693c74cdab2ace77f40be9b52315faa9c608d7183df",
+    "P4_data.csv": "8e0088ce81160c5e75d2e460b42086b914f8e7a16a2f7a4c260ee62ee5f52d93",
+    "P4_rules.json": "31314b74461858b64dde5aa7829250113a4e65e6de03514e55a66548da49a8e9",
+    "P4_samples.csv": "96a1ba5f09d4847249b142486efe57202d754f8f05e3930847ca5dcfe8b818f3",
+    "P4_screened.csv": "222f476c62175f18bd22d53aeda588d71dca76b43f31a3e76575a90304f085c5",
+    "P4_tree.json": "1ea2303950795f8c6e73d57939ba8b9114647bd201301c96affcd7cd7b257d66",
+    "system_designs.csv": "80c36f231bd0d925ec05fd07a26f34e6ffaaa4a3a94f6b1c6b5503c17abc2ee4",
+}
+
+
+def test_demo_seed7_outputs_are_pinned(tmp_path):
+    out = tmp_path / "demo"
+    assert run("demo", "--seed", "7", "--out", str(out)) == 0
+    names = sorted(p.name for p in out.iterdir() if not p.name.endswith(".manifest.json"))
+    assert {name: sha256_of(out / name) for name in names} == DEMO_SEED7_DIGESTS
 
 
 def test_demo_inconsistent_criteria_exits_2(tmp_path, capsys):
