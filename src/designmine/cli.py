@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .atomic import atomic_open
-from .csvtext import read_json
+from .csvtext import read_json, require_finite
 from .doe import GENERATOR, SamplingPlan, lhs, sample_count_heuristic, save_samples
 from .errors import (
     ConditioningError,
@@ -51,7 +51,7 @@ from .tree import (
     save_tree,
     training_accuracy,
 )
-from .uncertain import _HI, _LO, _read_design_points, dataset_from_design, load_dataset
+from .uncertain import _HI, _LO, _read_csv, dataset_from_design, load_dataset
 
 
 # --- output plumbing ----------------------------------------------------------
@@ -155,11 +155,12 @@ def _data_extent_bounds(dataset):
 
 
 def _design_tuples(path, uncertainty, expected_names, label="g"):
-    names, values, _ = _read_design_points(path)
+    names, values, _, lines = _read_csv(path, expect_label=None)
     if list(expected_names) != list(names):
         raise SchemaError(
             f"{path}: columns {names} do not match expected attributes {list(expected_names)}"
         )
+    require_finite(path, values, lines, "value")
     return dataset_from_design(names, values, [label] * len(values), uncertainty).tuples
 
 
@@ -493,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = (
     (SelectionError, 4),
     ((TreeConstructionError, EmptyDatasetError), 3),
-    ((ConditioningError, InvalidSplitError, FloatingPointError), 5),
+    ((ConditioningError, InvalidSplitError, ArithmeticError), 5),
     (
         (
             IngestionError,

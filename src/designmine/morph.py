@@ -36,6 +36,12 @@ RESIDUAL_LIMIT = 1e-8
 
 _POINT_HEADER = exact_header("id", "x", "y", "z", text_column=0)
 
+#: Node rows morphed or written at once, so the temporaries of
+#: ``apply_morph`` and ``save_points`` do not grow with the node count.
+#: ``apply_morph`` takes fewer rows past 32 control points: a block's kernel
+#: rows hold at most ``32 * BLOCK_ROWS`` floats (1 MiB).
+BLOCK_ROWS = 4096
+
 
 def tps_kernel(r):
     """r^2 * ln(r), continued with 0 where r is not positive (0, negative or
@@ -155,14 +161,21 @@ def apply_morph(morph: MorphMap, nodes) -> np.ndarray:
     """Morphed coordinates of a node cloud (m-by-3).
 
     Evaluated at the original control points this reproduces the displaced
-    control points to solver tolerance.
+    control points to solver tolerance.  The (m x n) kernel table is filled
+    a block of rows at a time and multiplied once: BLAS sums a product of
+    fewer rows in another order, so a product per block would change bits.
     """
     from scipy.spatial.distance import cdist
 
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if nodes.shape[1] != 3:
         raise InvalidParameterError("nodes must be an m-by-3 array")
-    a = _tps_kernel_inplace(cdist(nodes, morph.original))
+    m, n = len(nodes), len(morph.original)
+    step = max(1, 32 * BLOCK_ROWS // max(n, 32))
+    a = np.empty((m, n))
+    for start in range(0, m, step):
+        block = slice(start, start + step)
+        a[block] = _tps_kernel_inplace(cdist(nodes[block], morph.original))
     return a @ morph.kernel_weights + nodes @ morph.affine + morph.offset
 
 
@@ -212,9 +225,13 @@ def _csv_field(text: str) -> str:
 
 def save_points(path, ids, coords) -> None:
     """Write an `id,x,y,z` CSV preserving ids and row order; coordinates are
-    written with ``repr``, so they read back exactly."""
-    rows = zip(map(_csv_field, map(str, ids)), np.asarray(coords, dtype=float).tolist())
-    text = "".join([f"{i},{x!r},{y!r},{z!r}\n" for i, (x, y, z) in rows])
+    written with ``repr``, so they read back exactly.  ``ids`` may be any
+    iterable; rows are formatted ``BLOCK_ROWS`` at a time."""
+    fields = map(_csv_field, map(str, ids))
+    coords = np.asarray(coords, dtype=float)
     with atomic_open(path) as fh:
         fh.write("id,x,y,z\n")
-        fh.write(text)
+        for start in range(0, len(coords), BLOCK_ROWS):
+            # rows first: zip stops on them without taking an id it drops
+            rows = zip(coords[start : start + BLOCK_ROWS].tolist(), fields)
+            fh.write("".join([f"{i},{x!r},{y!r},{z!r}\n" for (x, y, z), i in rows]))

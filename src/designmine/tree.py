@@ -79,9 +79,10 @@ __all__ = [
 #: Partitions lighter than this are treated as empty when scoring splits.
 MIN_PARTITION_MASS = 1e-6
 
-#: Largest ``max_layers`` that ``build_tree`` accepts.  Tree walks are loops,
-#: but ``save_tree``'s JSON encoder and ``==`` and ``repr`` on trees recurse
-#: once or more per level and fail a little above 300 levels.
+#: Largest ``max_layers`` that ``build_tree`` accepts, and the deepest tree
+#: that ``tree_from_dict`` loads.  Tree walks are loops, but ``save_tree``'s
+#: JSON encoder and ``==`` and ``repr`` on trees recurse once or more per
+#: level and fail a little above 300 levels.
 MAX_LAYERS = 256
 
 
@@ -751,15 +752,20 @@ def tree_to_dict(tree: UncertainTree) -> dict:
 
 
 def tree_from_dict(data: dict) -> UncertainTree:
-    """Tree from its ``tree_to_dict`` form; malformed input raises
-    ``IngestionError``."""
+    """Tree from its ``tree_to_dict`` form; malformed input, and a tree
+    deeper than ``MAX_LAYERS``, raise ``IngestionError``."""
     try:
         attributes = tuple(str(a) for a in data["attributes"])
         labels = tuple(str(label) for label in data["labels"])
         root = _node_from_dict(data["root"], len(attributes), labels)
+        depth = _node_depth(root)
+        if depth > MAX_LAYERS:
+            raise IngestionError(
+                f"tree is {depth} layers deep, deeper than {MAX_LAYERS}, the deepest supported"
+            )
         cfg = data.get("config")
         if cfg is None:
-            config = TreeConfig(max_layers=max(1, _node_depth(root)))
+            config = TreeConfig(max_layers=max(1, depth))
         else:
             config = TreeConfig(
                 max_layers=int(cfg["max_layers"]),

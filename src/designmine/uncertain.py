@@ -562,13 +562,8 @@ def load_design_points(path):
     Returns ``(attribute_names, rows, labels)`` with ``labels`` None when the
     file has no label column.
     """
-    names, values, labels = _read_design_points(path)
+    names, values, labels, _ = _read_csv(path, expect_label=None)
     return names, values.tolist(), labels
-
-
-def _read_design_points(path):
-    """``load_design_points`` with the rows as one (rows, attributes) array."""
-    return _read_csv(path, expect_label=None)[:3]
 
 
 def _read_csv(path, expect_label: bool | None):

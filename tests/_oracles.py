@@ -17,7 +17,9 @@ per-design surrogate responder (``oracle_respond``, ``oracle_curve``,
 ``oracle_histories``) is the definition the design-matrix responder of
 ``designmine.surrogate`` must reproduce bit for bit: Python float polynomials,
 one ``np.linspace`` grid per design, and the metric arithmetic of
-``designmine.metrics`` written out for one curve.
+``designmine.metrics`` written out for one curve.  The one-shot morph
+(``oracle_apply_morph``) is the definition the blocked ``apply_morph`` must
+reproduce bit for bit: one kernel table, one product.
 """
 
 import csv
@@ -410,6 +412,22 @@ def oracle_load_points(path):
             lineno, _ = next(itertools.islice(_data_rows(reader), bad, None))
         raise IngestionError(f"{path}: row {lineno}: non-finite coordinate")
     return ids, points
+
+
+# --- one-shot morph ------------------------------------------------------------
+
+
+def oracle_apply_morph(morph, nodes):
+    """``apply_morph`` in one shot: the kernel ``r * r * ln(r)`` (0 where r
+    is not positive) of the whole (nodes x control points) distance table,
+    then one product with the kernel weights plus the affine part."""
+    from scipy.spatial.distance import cdist
+
+    nodes = np.asarray(nodes, dtype=float).reshape(-1, 3)
+    r = cdist(nodes, morph.original)
+    pos = r > 0.0
+    kernel = np.where(pos, r * r * np.log(np.where(pos, r, 1.0)), 0.0)
+    return kernel @ morph.kernel_weights + nodes @ morph.affine + morph.offset
 
 
 # --- row-by-row dataset CSV reader -------------------------------------------

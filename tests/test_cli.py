@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from designmine.cli import bundled_surrogate_text, main
+from designmine.errors import IngestionError
 from designmine.rules import enumerate_branches
 from designmine.tree import (
     MAX_LAYERS,
+    LeafNode,
+    SplitNode,
     TreeConfig,
+    UncertainTree,
     build_tree,
     classify,
     iter_leaves,
@@ -361,17 +365,39 @@ def test_classify_deeply_nested_tree_exits_2(dataset_csv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error[IngestionError]: {tree}: ") and err.count("\n") == 1
 
-    # The same 1500-deep chain, built without JSON, loads, and every walk
-    # over it is a loop: no RecursionError.
-    chain = leaf_dict = json.loads(leaf)
+    # The same 1500-deep chain, built in memory, and every walk over it is a
+    # loop: no RecursionError.  Loading its dict is refused by depth.
+    chain = leaf_node = LeafNode({"g": 1.0, "m": 0.0, "p": 0.0}, 1.0)
     for _ in range(1500):
-        chain = {"kind": "split", "attr": 0, "threshold": 2.0, "left": chain, "right": leaf_dict}
-    deep = tree_from_dict({"attributes": ["t", "u"], "labels": ["g", "m", "p"], "root": chain})
+        chain = SplitNode(0, 2.0, chain, leaf_node)
+    deep = UncertainTree(("t", "u"), ("g", "m", "p"), chain, TreeConfig(max_layers=1500))
     assert tree_depth(deep) == 1500
     assert len(iter_leaves(deep)) == len(enumerate_branches(deep)) == 1501
     sample = fresh_tuple(1, [make_marginal(2.0, 0.1), make_marginal(5.0, 0.1)], "g")
     assert classify(deep, sample) == {"g": 1.0, "m": 0.0, "p": 0.0}
-    assert tree_depth(tree_from_dict(tree_to_dict(deep))) == 1500
+    with pytest.raises(IngestionError, match=f"tree is 1500 layers deep, deeper than {MAX_LAYERS}"):
+        tree_from_dict(tree_to_dict(deep))
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_a_tree_deeper_than_max_layers_is_refused_at_load(dataset_csv, tmp_path, capsys, with_config):
+    """A 900-deep tree JSON (shallow enough for ``json`` to parse) would load,
+    but ``==`` and ``repr`` on it raise ``RecursionError``: ``load_tree``
+    refuses it, and ``classify`` exits 2."""
+    leaf = json.dumps({"kind": "leaf", "lp": {"g": 1.0, "m": 0.0, "p": 0.0}, "mass": 1.0})
+    split = '{"kind": "split", "attr": 0, "threshold": 2.0, "left": '
+    root = split * 900 + leaf + (', "right": ' + leaf + "}") * 900
+    config = ', "config": {"max_layers": 900}' if with_config else ""
+    tree = tmp_path / "deep.json"
+    tree.write_text('{"attributes": ["t", "u"], "labels": ["g", "m", "p"], "root": ' + root + config + "}",
+                    encoding="utf-8")
+    message = f"{tree}: tree is 900 layers deep, deeper than {MAX_LAYERS}, the deepest supported"
+    with pytest.raises(IngestionError) as info:
+        load_tree(tree)
+    assert str(info.value) == message
+    assert run("classify", "--tree", str(tree), "--data", str(dataset_csv),
+               "--out", str(tmp_path / "lp.csv")) == 2
+    assert capsys.readouterr().err == f"error[IngestionError]: {message}\n"
 
 
 def test_train_at_the_depth_cap_round_trips_and_one_layer_more_exits_2(tmp_path, capsys):
@@ -544,6 +570,19 @@ def test_screen_and_classify_on_designs_that_are_not_utf8_exit_2(
     capsys.readouterr()
     code = run(command, "--tree", str(tree), flag, str(designs), "--out", str(tmp_path / "o.csv"))
     assert_exits_2_naming(code, capsys, designs, 3)
+
+
+@pytest.mark.parametrize("command, flag", [("screen", "--designs"), ("classify", "--data")])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_screen_and_classify_name_the_row_of_a_non_finite_design_value(
+    dataset_csv, tmp_path, capsys, command, flag, value
+):
+    tree = trained_tree(dataset_csv, tmp_path)
+    designs = tmp_path / "designs.csv"
+    designs.write_text(f"t,u\n1.5,2.0\n\n2.5,{value}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(command, "--tree", str(tree), flag, str(designs), "--out", str(tmp_path / "o.csv")) == 2
+    assert capsys.readouterr().err == f"error[IngestionError]: {designs}: row 4: non-finite value\n"
 
 
 def test_morph_on_points_that_are_not_utf8_exits_2(tmp_path, capsys):
@@ -781,4 +820,20 @@ def test_demo_inconsistent_criteria_exits_2(tmp_path, capsys):
     assert run("demo", "--spec", str(bad), "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error[InconsistentCriteriaError]") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_demo_whose_surrogate_overflows_exits_5(tmp_path, capsys):
+    """A squared design value past the float range raises ``OverflowError``
+    in the responder (Python's ``**``): a numerical failure, exit 5."""
+    spec = json.loads(bundled_surrogate_text())
+    p2 = next(c for c in spec["components"] if c["name"] == "P2")
+    p2["variables"] = [
+        dict(p, lower=1e200, upper=2e200) if p["name"] == "P2_y1" else p for p in p2["variables"]
+    ]
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(spec), encoding="utf-8")
+    assert run("demo", "--spec", str(bad), "--n-train", "20", "--out", str(tmp_path / "out")) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error[OverflowError]: ") and err.count("\n") == 1
     assert "Traceback" not in err

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -15,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import designmine
 
-from _oracles import oracle_load_points
+from _oracles import oracle_apply_morph, oracle_load_points
 from designmine import csvtext
+from designmine import morph as morph_module
 from designmine.errors import ConditioningError, IngestionError, InvalidParameterError
 from designmine.morph import (
     ControlPointSet,
@@ -245,6 +247,77 @@ def test_lifted_patch_bump():
     assert np.allclose(out, expected, atol=1e-10)
 
 
+# --- blocked apply -----------------------------------------------------------------
+
+B = morph_module.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("m", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_apply_morph_in_blocks_equals_the_one_shot_product(m):
+    """The kernel table is filled a block of rows at a time, then multiplied
+    once: every bit is the one-shot product's, also at control points
+    (r = 0) and across block edges."""
+    rng = np.random.default_rng(m)
+    morph = fit_morph(random_cps(rng, 30))
+    nodes = rng.uniform(-12.0, 12.0, size=(m, 3))
+    nodes[: min(m, 5)] = morph.original[: min(m, 5)]
+    out = apply_morph(morph, nodes)
+    assert out.shape == (m, 3)
+    assert np.array_equal(out, oracle_apply_morph(morph, nodes))
+
+
+@pytest.mark.parametrize("n, rows", [(6, [4, 4, 3]), (32, [4, 4, 3]), (40, [3, 3, 3, 2]), (200, [1] * 11)])
+def test_many_control_points_take_fewer_rows_per_block(n, rows):
+    """A block holds at most ``32 * BLOCK_ROWS`` kernel cells (one row at
+    the least), however many control points there are."""
+    rng = np.random.default_rng(n)
+    morph = fit_morph(random_cps(rng, n))
+    nodes = rng.uniform(-12.0, 12.0, size=(11, 3))
+    from scipy.spatial.distance import cdist
+
+    shapes = []
+
+    def recording_cdist(xa, xb):
+        shapes.append((len(xa), len(xb)))
+        return cdist(xa, xb)
+
+    with mock.patch.object(morph_module, "BLOCK_ROWS", 4), \
+            mock.patch("scipy.spatial.distance.cdist", recording_cdist):
+        out = apply_morph(morph, nodes)
+    assert shapes == [(r, n) for r in rows]
+    assert np.array_equal(out, oracle_apply_morph(morph, nodes))
+
+
+#: tracemalloc peak of ``save_points`` on the 50 000 rows below before it
+#: wrote in blocks, when it held every row's text at once.
+UNBLOCKED_SAVE_PEAK = 17.2e6
+
+
+def test_apply_and_save_run_in_bounded_memory(tmp_path):
+    """tracemalloc counts numpy's buffers, so these peaks are exact and do
+    not depend on timing.  ``apply_morph`` holds one (m x n) kernel table
+    plus block-sized temporaries (a one-shot ``cdist`` and kernel held two
+    tables); ``save_points`` holds one block of row text."""
+    rng = np.random.default_rng(5)
+    morph = fit_morph(random_cps(rng, 30))
+    nodes = rng.uniform(-10.0, 10.0, size=(50_000, 3))
+    ids = [f"n{i}" for i in range(len(nodes))]
+    apply_morph(morph, nodes[:1])  # scipy's modules are loaded outside the trace
+    tracemalloc.start()
+    try:
+        moved = apply_morph(morph, nodes)
+        apply_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        save_points(tmp_path / "out.csv", ids, moved)
+        save_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    table = len(nodes) * 30 * 8
+    assert apply_peak < 1.25 * table
+    assert save_peak < UNBLOCKED_SAVE_PEAK / 4
+
+
 # --- point CSV IO ------------------------------------------------------------------
 
 
@@ -464,8 +537,24 @@ def test_save_points_writes_the_csv_writer_bytes(scratch, data, rows):
                  min_size=len(rows), max_size=len(rows))
     )
     path = scratch / "out.csv"
-    save_points(path, ids, np.array(rows))
+    with mock.patch.object(morph_module, "BLOCK_ROWS", data.draw(st.sampled_from([2, 3]))):
+        save_points(path, ids, np.array(rows))
     assert path.read_bytes() == csv_writer_bytes(ids, rows)
+
+
+def test_save_points_over_several_blocks_writes_the_csv_writer_bytes(tmp_path):
+    """Rows are written ``BLOCK_ROWS`` at a time; ids may come from any
+    iterable, a generator too, and none is lost at a block edge."""
+    rng = np.random.default_rng(3)
+    m = 2 * B + 3
+    coords = rng.standard_normal((m, 3)) * 10.0 ** rng.integers(-300, 300, size=(m, 3))
+    coords[0] = [-0.0, 5e-324, 2.0**53]
+    ids = [f"n{i}" if i % 5 else f'n,"{i}"' for i in range(m)]
+    save_points(tmp_path / "list.csv", ids, coords)
+    save_points(tmp_path / "gen.csv", (i for i in ids), coords)
+    expected = csv_writer_bytes(ids, coords)
+    assert (tmp_path / "list.csv").read_bytes() == expected
+    assert (tmp_path / "gen.csv").read_bytes() == expected
 
 
 @PROPERTY
@@ -477,7 +566,8 @@ def test_every_id_save_points_writes_reads_back(scratch, data, rows):
     )
     coords = np.array(rows)
     path = scratch / "round.csv"
-    save_points(path, ids, coords)
+    with mock.patch.object(morph_module, "BLOCK_ROWS", data.draw(st.sampled_from([2, 3]))):
+        save_points(path, ids, coords)
     rids, rcoords = load_points(path)
     assert rids == ids
     assert np.array_equal(rcoords, coords)
