@@ -1,6 +1,6 @@
 """designmine: decision-tree design mining for uncertain data.
 
-A numpy/scipy toolkit for mining interval design rules from labelled design
+A numpy toolkit for mining interval design rules from labelled design
 datasets whose samples carry truncated-Gaussian uncertainty: an uncertain-data
 decision tree, branch-to-rule extraction with coverage scoring, Latin
 hypercube DOE over full and rule-reduced design spaces, crashworthiness

@@ -51,7 +51,7 @@ from .tree import (
     save_tree,
     training_accuracy,
 )
-from .uncertain import _HI, _LO, _read_csv, dataset_from_design, load_dataset
+from .uncertain import _HI, _LO, _file_dataset, _read_csv, load_dataset
 
 
 # --- output plumbing ----------------------------------------------------------
@@ -161,7 +161,7 @@ def _design_tuples(path, uncertainty, expected_names, label="g"):
             f"{path}: columns {names} do not match expected attributes {list(expected_names)}"
         )
     require_finite(path, values, lines, "value")
-    return dataset_from_design(names, values, [label] * len(values), uncertainty).tuples
+    return _file_dataset(path, names, values, [label] * len(values), lines, uncertainty).tuples
 
 
 # --- commands -------------------------------------------------------------------

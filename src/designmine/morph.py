@@ -97,15 +97,25 @@ class MorphMap:
     condition: float
 
 
-# scipy is imported inside the functions that use it, so importing designmine
-# (and every command but ``morph``) does not pay for loading it.
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``x`` and those of ``y``, a
+    (len(x) x len(y)) array: ``sqrt((dx*dx + dy*dy) + dz*dz)``, the
+    coordinates added in order, as ``scipy.spatial.distance.cdist`` adds
+    them."""
+    d = np.subtract.outer(x[:, 0], y[:, 0])
+    d *= d
+    for c in (1, 2):
+        diff = np.subtract.outer(x[:, c], y[:, c])
+        diff *= diff
+        d += diff
+    return np.sqrt(d, out=d)
 
 
-def _system_matrix(original: np.ndarray, regularization: float):
-    from scipy.spatial.distance import cdist
-
+def _system_matrix(original: np.ndarray, r: np.ndarray, regularization: float):
+    """The saddle-point matrix of control points whose distances are ``r``
+    (overwritten)."""
     n = original.shape[0]
-    a = _tps_kernel_inplace(cdist(original, original))
+    a = _tps_kernel_inplace(r)
     if regularization:
         a = a + regularization * np.eye(n)
     b = np.hstack([np.ones((n, 1)), original])
@@ -118,20 +128,18 @@ def _system_matrix(original: np.ndarray, regularization: float):
 
 def fit_morph(cps: ControlPointSet, regularization: float = 0.0) -> MorphMap:
     """Solve the saddle-point system mapping original control points onto the
-    displaced ones.
+    displaced ones, by LU with partial pivoting (``np.linalg.solve``).
 
     Raises a conditioning error (with the condition estimate) for duplicate
     or coplanar-degenerate control points; a small ``regularization`` added to
     the kernel block can rescue near-degenerate layouts.
     """
-    from scipy.linalg import solve
-    from scipy.spatial.distance import pdist
-
     original = cps.original
     n = original.shape[0]
-    if pdist(original).min() == 0.0:
+    r = _distances(original, original)
+    if r[np.triu_indices(n, 1)].min() == 0.0:
         raise ConditioningError("duplicate control points make the system singular")
-    m = _system_matrix(original, regularization)
+    m = _system_matrix(original, r, regularization)
     condition = float(np.linalg.cond(m))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise ConditioningError(
@@ -141,7 +149,7 @@ def fit_morph(cps: ControlPointSet, regularization: float = 0.0) -> MorphMap:
         )
     rhs = np.zeros((n + 4, 3))
     rhs[:n] = cps.displaced
-    sol = solve(m, rhs)
+    sol = np.linalg.solve(m, rhs)
     residual = np.linalg.norm(m @ sol - rhs) / max(np.linalg.norm(rhs), 1.0)
     if residual > RESIDUAL_LIMIT:
         raise ConditioningError(
@@ -161,22 +169,34 @@ def apply_morph(morph: MorphMap, nodes) -> np.ndarray:
     """Morphed coordinates of a node cloud (m-by-3).
 
     Evaluated at the original control points this reproduces the displaced
-    control points to solver tolerance.  The (m x n) kernel table is filled
-    a block of rows at a time and multiplied once: BLAS sums a product of
-    fewer rows in another order, so a product per block would change bits.
+    control points to solver tolerance.  Each coordinate of a node is the sum
+    of its kernel terms in control-point order, then its affine terms in
+    coordinate order, then the offset, one ordered numpy add at a time.  So
+    a node's output depends on that node alone, not on how many rows a block
+    holds or on BLAS, and no (m x n) kernel table is kept: a block's kernel
+    is built (control points x rows), one control point's row contiguous.
     """
-    from scipy.spatial.distance import cdist
-
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if nodes.shape[1] != 3:
         raise InvalidParameterError("nodes must be an m-by-3 array")
     m, n = len(nodes), len(morph.original)
+    weights = morph.kernel_weights[:, :, None]
+    affine = morph.affine[:, :, None]
+    offset = morph.offset[:, None]
     step = max(1, 32 * BLOCK_ROWS // max(n, 32))
-    a = np.empty((m, n))
+    out = np.empty((m, 3))
     for start in range(0, m, step):
-        block = slice(start, start + step)
-        a[block] = _tps_kernel_inplace(cdist(nodes[block], morph.original))
-    return a @ morph.kernel_weights + nodes @ morph.affine + morph.offset
+        block = nodes[start : start + step]
+        kt = _tps_kernel_inplace(_distances(morph.original, block))
+        acc = kt[0] * weights[0]
+        term = np.empty_like(acc)
+        for j in range(1, n):
+            acc += np.multiply(kt[j], weights[j], out=term)
+        for a in range(3):
+            acc += np.multiply(block[:, a], affine[a], out=term)
+        acc += offset
+        out[start : start + step] = acc.T
+    return out
 
 
 def _read_points(path):

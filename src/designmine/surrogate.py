@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .csvtext import read_json
-from .errors import IngestionError, InvalidParameterError
+from .errors import DesignMineError, IngestionError, InvalidParameterError
 from .metrics import (
     ForceDeflectionCurve,
     IntrusionHistories,
@@ -228,9 +228,15 @@ def surrogate_histories(x: Sequence[float], comp: ComponentSpec) -> IntrusionHis
 # --- spec file parsing --------------------------------------------------------
 
 
-def _polynomial(data) -> Polynomial:
+#: The polynomials of a component: its field and the key of ``responses``.
+_RESPONSES = (
+    ("mass", "mass"), ("peak", "peak_force"), ("deflection", "deflection"), ("intrusion", "intrusion")
+)
+
+
+def _polynomial(data, where: str) -> Polynomial:
     if data is None:
-        raise IngestionError("missing polynomial definition")
+        raise IngestionError(f"{where} is missing")
     return Polynomial(
         const=float(data.get("const", 0.0)),
         linear=tuple((str(k), float(v)) for k, v in data.get("linear", {}).items()),
@@ -239,6 +245,27 @@ def _polynomial(data) -> Polynomial:
             (str(a), str(b), float(c)) for a, b, c in data.get("interactions", [])
         ),
     )
+
+
+def _check_model(comp: ComponentSpec, origin: str) -> None:
+    """Finite, ordered variable bounds, and responses with finite
+    coefficients whose terms read only declared variables."""
+    where = f"{origin}component {comp.name!r}"
+    for name, lo, hi in comp.variables:
+        if not -np.inf < lo < hi < np.inf:
+            raise IngestionError(
+                f"{where}: variable {name!r} has bounds [{lo}, {hi}], must be finite with lower < upper"
+            )
+    declared = set(comp.variable_names)
+    for field, key in _RESPONSES:
+        poly = getattr(comp, field)
+        names = [t[0] for t in poly.linear + poly.quadratic] + [n for t in poly.interactions for n in t[:2]]
+        for name in names:
+            if name not in declared:
+                raise IngestionError(f"{where}: response {key!r} names undeclared variable {name!r}")
+        coefficients = [poly.const] + [t[-1] for t in poly.linear + poly.quadratic + poly.interactions]
+        if not np.isfinite(coefficients).all():
+            raise IngestionError(f"{where}: response {key!r} has a coefficient that is not finite")
 
 
 def _check_grids(comp: ComponentSpec, origin: str) -> None:
@@ -262,29 +289,40 @@ def _component(data, origin: str) -> ComponentSpec:
         responses = data["responses"]
         curve = data.get("curve", {})
         histories = data.get("histories", {})
+        name = str(data["name"])
+        where = f"{origin}component {name!r}"
+        if not isinstance(data["criteria"], dict):  # a string would be read as a criteria file
+            raise TypeError(f"criteria must be an object, got {type(data['criteria']).__name__}")
+        try:
+            criteria = load_criteria(data["criteria"])
+        except DesignMineError as exc:  # keeps the criteria error's type, and so its exit code
+            raise type(exc)(f"{where}: {exc}") from exc
         comp = ComponentSpec(
-            name=str(data["name"]),
+            name=name,
             variables=variables,
-            mass=_polynomial(responses.get("mass")),
-            peak=_polynomial(responses.get("peak_force")),
-            deflection=_polynomial(responses.get("deflection")),
-            intrusion=_polynomial(responses.get("intrusion")),
-            criteria=load_criteria(data["criteria"]),
+            **{
+                field: _polynomial(responses.get(key), f"{where}: response {key!r}")
+                for field, key in _RESPONSES
+            },
+            criteria=criteria,
             curve_points=int(curve.get("points", 65)),
             ramp_fraction=float(curve.get("ramp_fraction", 0.25)),
             history_points=int(histories.get("points", 40)),
             duration_s=float(histories.get("duration_s", 0.09)),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise IngestionError(f"malformed surrogate component: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise IngestionError(f"{origin}malformed surrogate component: {exc}") from exc
+    _check_model(comp, origin)
     _check_grids(comp, origin)
     return comp
 
 
 def load_surrogate(source) -> SurrogateSpec:
-    """Read a surrogate spec from a JSON file path or a parsed dict.  A
-    component whose curve or histories settings the responder cannot use
-    raises ``IngestionError`` naming the file, the component and the field."""
+    """Read a surrogate spec from a JSON file path or a parsed dict.  A spec
+    the responder cannot use (a malformed component, a response term on an
+    undeclared variable, a coefficient or bound that is not finite, curve or
+    histories settings out of range) raises ``IngestionError`` naming the
+    file, and the component and field where there is one."""
     is_path = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     data = read_json(source) if is_path else source
     origin = f"{source}: " if is_path else ""
@@ -294,5 +332,5 @@ def load_surrogate(source) -> SurrogateSpec:
             version=int(data.get("version", 1)),
             components=tuple(_component(c, origin) for c in data["components"]),
         )
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise IngestionError(f"malformed surrogate spec: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise IngestionError(f"{origin}malformed surrogate spec: {exc}") from exc

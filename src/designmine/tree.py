@@ -732,7 +732,7 @@ def _node_from_dict(data, n_attrs: int, label_set: tuple) -> Node:
                 raise IngestionError(
                     f"{where}: node kind must be 'leaf' or 'split', got {kind!r}"
                 )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise IngestionError(f"{where}: malformed {kind} node ({exc!r})") from None
     return _link(plan)
 
@@ -773,7 +773,7 @@ def tree_from_dict(data: dict) -> UncertainTree:
                 min_partition_mass=float(cfg.get("min_partition_mass", MIN_PARTITION_MASS)),
                 seed=int(cfg.get("seed", 0)),
             )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, InvalidParameterError) as exc:
         raise IngestionError(f"malformed tree ({exc!r})") from None
     return UncertainTree(attributes, labels, root, config)
 

@@ -536,6 +536,13 @@ def load_dataset(
                     f"{path}: row {line}, column 'label': label {label!r} "
                     f"not in declared label set {sorted(declared)}"
                 )
+    return _file_dataset(path, names, values, labels, lines, uncertainty, label_set)
+
+
+def _file_dataset(path, names, values, labels, lines, uncertainty: float, label_set=None) -> Dataset:
+    """``dataset_from_design`` of cells read from ``path``; a cell
+    ``make_marginal`` rejects raises ``IngestionError`` naming the file and,
+    through ``_bad_cell``, its row and column."""
     try:
         return dataset_from_design(names, values, labels, uncertainty, label_set)
     except InvalidParameterError as exc:

@@ -17,9 +17,9 @@ per-design surrogate responder (``oracle_respond``, ``oracle_curve``,
 ``oracle_histories``) is the definition the design-matrix responder of
 ``designmine.surrogate`` must reproduce bit for bit: Python float polynomials,
 one ``np.linspace`` grid per design, and the metric arithmetic of
-``designmine.metrics`` written out for one curve.  The one-shot morph
+``designmine.metrics`` written out for one curve.  The ordered morph sum
 (``oracle_apply_morph``) is the definition the blocked ``apply_morph`` must
-reproduce bit for bit: one kernel table, one product.
+reproduce bit for bit: Python floats, each node's terms added in order.
 """
 
 import csv
@@ -31,6 +31,7 @@ from scipy.special import ndtr, ndtri
 
 from designmine.errors import IngestionError, InvalidParameterError
 from designmine.metrics import ForceDeflectionCurve, IntrusionHistories, ResponseRecord
+from designmine.morph import tps_kernel
 from designmine.tree import LeafNode, SplitCandidate, SplitNode, UncertainTree
 from designmine.uncertain import partition_tuple
 
@@ -414,20 +415,37 @@ def oracle_load_points(path):
     return ids, points
 
 
-# --- one-shot morph ------------------------------------------------------------
+# --- ordered morph sum ----------------------------------------------------------
 
 
 def oracle_apply_morph(morph, nodes):
-    """``apply_morph`` in one shot: the kernel ``r * r * ln(r)`` (0 where r
-    is not positive) of the whole (nodes x control points) distance table,
-    then one product with the kernel weights plus the affine part."""
-    from scipy.spatial.distance import cdist
-
-    nodes = np.asarray(nodes, dtype=float).reshape(-1, 3)
-    r = cdist(nodes, morph.original)
-    pos = r > 0.0
-    kernel = np.where(pos, r * r * np.log(np.where(pos, r, 1.0)), 0.0)
-    return kernel @ morph.kernel_weights + nodes @ morph.affine + morph.offset
+    """``apply_morph`` one node at a time in Python floats: each coordinate
+    is the node's kernel terms added in control-point order, then its affine
+    terms in coordinate order, then the offset.  Distances are
+    ``sqrt((dx*dx + dy*dy) + dz*dz)``; the kernel is ``tps_kernel`` of a
+    node's distances."""
+    nodes = np.asarray(nodes, dtype=float).reshape(-1, 3).tolist()
+    original = morph.original.tolist()
+    weights = morph.kernel_weights.tolist()
+    affine = morph.affine.tolist()
+    offset = morph.offset.tolist()
+    out = []
+    for node in nodes:
+        r = []
+        for point in original:
+            dx, dy, dz = (a - b for a, b in zip(point, node))
+            r.append(math.sqrt((dx * dx + dy * dy) + dz * dz))
+        kernel = tps_kernel(np.array(r)).tolist()
+        row = []
+        for c in range(3):
+            acc = kernel[0] * weights[0][c]
+            for k, w in zip(kernel[1:], weights[1:]):
+                acc += k * w[c]
+            for x, a in zip(node, affine):
+                acc += x * a[c]
+            row.append(acc + offset[c])
+        out.append(row)
+    return np.array(out).reshape(-1, 3)
 
 
 # --- row-by-row dataset CSV reader -------------------------------------------

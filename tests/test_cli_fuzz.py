@@ -1,6 +1,6 @@
-"""Seeded fuzzing of the command line's CSV inputs.
+"""Seeded fuzzing of the command line's CSV and JSON inputs.
 
-Each case damages one CSV input of ``train``, ``screen``, ``classify``,
+Each CSV case damages one CSV input of ``train``, ``screen``, ``classify``,
 ``metrics`` or ``morph`` in one way and runs the command in process: the run
 must end in exit 0 or 2 with at most one line on stderr, never in an
 exception that escapes ``main`` (a traceback on the command line).  The one
@@ -8,15 +8,27 @@ other documented exit seen here is 3, for a dataset cut down to its header:
 a tree cannot be grown from no samples.  Every command but ``train`` names
 the damaged file in each error, and ``screen``, ``classify`` and ``metrics``
 reject every non-finite value.
+
+Each JSON case mutates one value of a surrogate spec (``demo --spec``) or a
+stored tree (``classify --tree``): it deletes a key or list item, puts a
+value of another type in its place, or puts NaN or an infinity there.  The
+run must end in a documented exit code with one line on stderr, and a file
+its loader rejects must be named in the error.
 """
 
+import copy
 import csv
+import json
+import math
 import random
 
 import numpy as np
 import pytest
 
-from designmine.cli import main
+from designmine.cli import bundled_surrogate_text, main
+from designmine.errors import DesignMineError
+from designmine.surrogate import load_surrogate
+from designmine.tree import load_tree
 
 SEEDS = (0, 1)
 KINDS = ("truncate", "drop", "duplicate", "non-finite", "header", "newline", "oversized", "nul", "not-utf8")
@@ -136,3 +148,73 @@ def test_damaged_csv_inputs_exit_0_or_2(inputs, tmp_path, capsys, slot, command,
             assert str(damaged) in err, (seed, err)
         if command in ("designs.csv", "classify", "curve.csv", "histories.csv") and kind == "non-finite":
             assert code == 2, (seed, err)
+
+
+JSON_KINDS = ("delete", "type", "non-finite")
+JSON_SEEDS = range(20)
+OTHER_TYPES = ("x", 1.5, -3, 0, True, None, [], {}, [1, 2], {"a": 1})
+
+
+def json_spots(value, at=()):
+    """The path of every value below the top of a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield at + (key,)
+        yield from json_spots(item, at + (key,))
+
+
+def mutate_json(doc, kind, rng):
+    """A copy of ``doc`` with one value deleted, or replaced by a value of
+    another type or by a non-finite number."""
+    doc = copy.deepcopy(doc)
+    spot = rng.choice(list(json_spots(doc)))
+    parent = doc
+    for key in spot[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[spot[-1]]
+    elif kind == "type":
+        parent[spot[-1]] = rng.choice([v for v in OTHER_TYPES if type(v) is not type(parent[spot[-1]])])
+    else:
+        parent[spot[-1]] = rng.choice([math.nan, math.inf, -math.inf])
+    return doc
+
+
+JSON_SLOTS = {
+    "--spec": (
+        load_surrogate,
+        lambda root, path: ["demo", "--spec", path, "--n-train", "20", "--n-system", "5", "--out", str(root / "demo")],
+    ),
+    "--tree": (
+        load_tree,
+        lambda root, path: ["classify", "--tree", path, "--data", str(root / "designs.csv"), "--out", str(root / "out")],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS)
+@pytest.mark.parametrize("slot", sorted(JSON_SLOTS))
+def test_damaged_json_inputs_exit_with_a_documented_code(inputs, tmp_path, capsys, slot, kind):
+    root, _ = inputs
+    loader, command = JSON_SLOTS[slot]
+    text = bundled_surrogate_text() if slot == "--spec" else (root / "tree.json").read_text(encoding="utf-8")
+    damaged = tmp_path / "damaged.json"
+    for seed in JSON_SEEDS:
+        rng = random.Random(f"{slot}-{kind}-{seed}")
+        damaged.write_text(json.dumps(mutate_json(json.loads(text), kind, rng)), encoding="utf-8")
+        try:
+            loader(damaged)
+            refused = None
+        except DesignMineError as exc:
+            refused = exc
+        code = main(command(root, str(damaged)))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == (code != 0), (seed, err)
+        assert code in (0, 2, 3, 4, 5), (seed, err)
+        if refused is not None:
+            assert code == 2 and str(damaged) in str(refused) and str(damaged) in err, (seed, err)

@@ -254,9 +254,9 @@ B = morph_module.BLOCK_ROWS
 
 @pytest.mark.parametrize("m", [0, 1, B - 1, B, B + 1, 2 * B + 3])
 def test_apply_morph_in_blocks_equals_the_one_shot_product(m):
-    """The kernel table is filled a block of rows at a time, then multiplied
-    once: every bit is the one-shot product's, also at control points
-    (r = 0) and across block edges."""
+    """Nodes are morphed a block of rows at a time: every bit is the ordered
+    sum the oracle takes over the whole cloud in one shot, also at control
+    points (r = 0) and across block edges."""
     rng = np.random.default_rng(m)
     morph = fit_morph(random_cps(rng, 30))
     nodes = rng.uniform(-12.0, 12.0, size=(m, 3))
@@ -266,6 +266,16 @@ def test_apply_morph_in_blocks_equals_the_one_shot_product(m):
     assert np.array_equal(out, oracle_apply_morph(morph, nodes))
 
 
+def test_apply_morph_does_not_depend_on_the_block_size():
+    rng = np.random.default_rng(11)
+    morph = fit_morph(random_cps(rng, 30))
+    nodes = rng.uniform(-12.0, 12.0, size=(3 * B + 5, 3))
+    expected = apply_morph(morph, nodes)
+    for rows in (1, 7, 1000, 8192, 4 * B):
+        with mock.patch.object(morph_module, "BLOCK_ROWS", rows):
+            assert np.array_equal(apply_morph(morph, nodes), expected), rows
+
+
 @pytest.mark.parametrize("n, rows", [(6, [4, 4, 3]), (32, [4, 4, 3]), (40, [3, 3, 3, 2]), (200, [1] * 11)])
 def test_many_control_points_take_fewer_rows_per_block(n, rows):
     """A block holds at most ``32 * BLOCK_ROWS`` kernel cells (one row at
@@ -273,19 +283,33 @@ def test_many_control_points_take_fewer_rows_per_block(n, rows):
     rng = np.random.default_rng(n)
     morph = fit_morph(random_cps(rng, n))
     nodes = rng.uniform(-12.0, 12.0, size=(11, 3))
-    from scipy.spatial.distance import cdist
-
+    distances = morph_module._distances
     shapes = []
 
-    def recording_cdist(xa, xb):
-        shapes.append((len(xa), len(xb)))
-        return cdist(xa, xb)
+    def recording_distances(x, y):
+        shapes.append((len(x), len(y)))
+        return distances(x, y)
 
     with mock.patch.object(morph_module, "BLOCK_ROWS", 4), \
-            mock.patch("scipy.spatial.distance.cdist", recording_cdist):
+            mock.patch.object(morph_module, "_distances", recording_distances):
         out = apply_morph(morph, nodes)
-    assert shapes == [(r, n) for r in rows]
+    assert shapes == [(n, r) for r in rows]
     assert np.array_equal(out, oracle_apply_morph(morph, nodes))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distances_equal_scipy_cdist_bit_for_bit(seed):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-150, 150, size=(1, 3))
+    x = rng.standard_normal((40, 3)) * scale
+    y = rng.standard_normal((500, 3)) * scale
+    y[:5] = x[:5]
+    y[5:10] = -x[5:10]
+    assert np.array_equal(morph_module._distances(x, y), cdist(x, y))
+    assert np.array_equal(morph_module._distances(y, x), cdist(x, y).T)
+    assert np.array_equal(morph_module._distances(x, x), cdist(x, x))
 
 
 #: tracemalloc peak of ``save_points`` on the 50 000 rows below before it
@@ -295,14 +319,13 @@ UNBLOCKED_SAVE_PEAK = 17.2e6
 
 def test_apply_and_save_run_in_bounded_memory(tmp_path):
     """tracemalloc counts numpy's buffers, so these peaks are exact and do
-    not depend on timing.  ``apply_morph`` holds one (m x n) kernel table
-    plus block-sized temporaries (a one-shot ``cdist`` and kernel held two
-    tables); ``save_points`` holds one block of row text."""
+    not depend on timing.  ``apply_morph`` holds its output plus one block's
+    distances, kernel and sums, far below one (m x n) kernel table;
+    ``save_points`` holds one block of row text."""
     rng = np.random.default_rng(5)
     morph = fit_morph(random_cps(rng, 30))
     nodes = rng.uniform(-10.0, 10.0, size=(50_000, 3))
     ids = [f"n{i}" for i in range(len(nodes))]
-    apply_morph(morph, nodes[:1])  # scipy's modules are loaded outside the trace
     tracemalloc.start()
     try:
         moved = apply_morph(morph, nodes)
@@ -314,7 +337,7 @@ def test_apply_and_save_run_in_bounded_memory(tmp_path):
     finally:
         tracemalloc.stop()
     table = len(nodes) * 30 * 8
-    assert apply_peak < 1.25 * table
+    assert apply_peak < 0.5 * table
     assert save_peak < UNBLOCKED_SAVE_PEAK / 4
 
 
@@ -582,10 +605,27 @@ def test_ids_with_a_bare_cr_read_back(tmp_path):
 
 
 def test_importing_the_package_does_not_load_scipy():
-    """scipy is imported by the morph functions that use it, so importing
-    designmine and its CLI (every command but ``morph``) does not load it."""
+    """designmine needs numpy alone: importing it and its CLI does not load
+    scipy."""
     src = os.path.dirname(os.path.dirname(designmine.__file__))
     code = "import sys, designmine, designmine.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_the_morph_command_does_not_load_scipy(tmp_path):
+    rng = np.random.default_rng(9)
+    original = rng.uniform(-5.0, 5.0, size=(10, 3))
+    ids = [f"c{i}" for i in range(10)]
+    save_points(tmp_path / "o.csv", ids, original)
+    save_points(tmp_path / "d.csv", ids, original + rng.uniform(-0.5, 0.5, size=(10, 3)))
+    save_points(tmp_path / "n.csv", ["a", "b"], rng.uniform(-5.0, 5.0, size=(2, 3)))
+    argv = ["morph", "--original", str(tmp_path / "o.csv"), "--displaced", str(tmp_path / "d.csv"),
+            "--nodes", str(tmp_path / "n.csv"), "--out", str(tmp_path / "m.csv")]
+    code = f"import sys; from designmine.cli import main; print(main({argv!r}), 'scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(designmine.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
+    assert len(load_points(tmp_path / "m.csv")[0]) == 2
