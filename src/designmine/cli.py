@@ -40,7 +40,7 @@ from .errors import (
 from .metrics import avgstiff, load_curve, load_histories, peak_force, peak_intrusion, sea, total_mass
 from .morph import apply_morph, fit_morph, load_control_points, load_points, save_points
 from .pipeline import run_demo
-from .rules import _finite_number, rule_from_payload, rules_payload, screen_designs
+from .rules import _finite_number, load_rule, rules_payload, screen_designs
 from .surrogate import load_surrogate
 from .tree import (
     TreeConfig,
@@ -129,9 +129,9 @@ def _dataset_csv(names, rows, labels) -> str:
 
 
 def _load_bounds_file(path, attribute_names=None):
-    """(names, bounds) from a JSON object of ``name: [lo, hi]`` pairs: every
-    entry in file order, or only ``attribute_names`` in that order.  Anything
-    else raises ``IngestionError`` naming the file and the attribute."""
+    """(names, bounds) from a JSON object of ``name: [lo, hi]`` pairs, lo <
+    hi: every entry in file order, or only ``attribute_names`` in that order.
+    Anything else raises ``IngestionError`` naming the file and the attribute."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise IngestionError(f"{path}: bounds must be a JSON object of [lo, hi] pairs")
@@ -140,9 +140,10 @@ def _load_bounds_file(path, attribute_names=None):
         if name not in data:
             raise IngestionError(f"{path}: missing bounds for attribute {name!r}")
         pair = data[name]
-        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_finite_number, pair))):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_finite_number, pair))
+                and pair[0] < pair[1]):
             raise IngestionError(
-                f"{path}: bounds of {name!r} are {pair!r}, not a [lo, hi] pair of finite numbers"
+                f"{path}: bounds of {name!r} are {pair!r}, not a [lo, hi] pair of finite numbers with lo < hi"
             )
     return names, [(float(data[name][0]), float(data[name][1])) for name in names]
 
@@ -211,11 +212,7 @@ def cmd_sample(args) -> int:
     run = Run("sample", args)
     if args.rules:
         run.add_input(args.rules)
-        payload = read_json(args.rules)
-        try:
-            rule = rule_from_payload(payload, args.branch)
-        except (IngestionError, InvalidParameterError) as exc:
-            raise type(exc)(f"{args.rules}: {exc}") from None
+        rule = load_rule(args.rules, args.branch)
         names = list(rule.attribute_names)
         bounds = list(zip(rule.lower, rule.upper))
     elif args.bounds:

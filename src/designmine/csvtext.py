@@ -1,13 +1,17 @@
-"""The text of an input file, decoded once, and the one CSV reader of the package.
+"""The text of an input file, and the one CSV reader of the package.
 
-Every CSV and JSON reader in the package decodes its file with ``read_text``,
-so a file that is not UTF-8 is an ``IngestionError`` naming the file and the
-row of the first bad byte; ``read_json`` also names the file of JSON it cannot
-parse.  ``read_csv`` reads the dataset, design, point, curve and histories
-formats: a well-formed file with no quoting is split into lines and its number
-columns parsed by one ``np.loadtxt`` call (``split_plain``); any other file
-goes through one ``csv`` row loop (``split_rows``), which reads quoted fields
-and bare CRs and is the one that says what is wrong with a malformed file.
+Every CSV and JSON reader in the package decodes its file as UTF-8, so a file
+that is not UTF-8 is an ``IngestionError`` naming the file and the row of the
+first bad byte; ``read_json`` also names the file of JSON it cannot parse.
+``read_csv`` reads the dataset, design, point, curve and histories formats.
+It opens its file once and reads a well-formed file with no quoting in blocks
+of ``BLOCK_BYTES``: each block is decoded, split into lines and its number
+columns parsed by one ``np.loadtxt`` call (``split_plain``), so the reader
+holds one block's text and lines at a time besides what it returns.  Any
+other file is read again from its start on the same handle, decoded whole
+and read by one ``csv`` row loop (``split_rows``), which reads quoted fields
+and bare CRs and is the one that says what is wrong with a malformed file;
+the blocks read before the one that sent it there are decoded twice.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import numpy as np
 from .errors import IngestionError
 
 __all__ = [
-    "ROW_READER_CHARS", "exact_header", "read_text", "read_json", "read_csv", "require_finite", "split_plain",
-    "split_rows",
+    "BLOCK_BYTES", "ROW_READER_CHARS", "exact_header", "read_text", "read_json", "read_csv", "require_finite",
+    "split_plain", "split_rows",
 ]
 
 #: Characters that send a file to the row reader: a quote (CSV quoting), a
@@ -32,13 +36,21 @@ __all__ = [
 #: numpy's float parser, but not to ``float``).
 ROW_READER_CHARS = '"\r\0\x1c\x1d\x1e\x1f'
 
+#: Bytes ``split_plain`` reads at a time, before the rest of their last line.
+BLOCK_BYTES = 256 * 1024
+
 
 def read_text(path) -> str:
-    """The file's text, decoded as UTF-8.  Undecodable bytes raise
-    ``IngestionError`` with the row of the first one, counting LF, CRLF and
-    bare CR as line ends as the ``csv`` reader does."""
+    """The file's text, decoded as UTF-8; an undecodable byte raises
+    ``_decode``'s ``IngestionError``."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return _decode(path, fh.read())
+
+
+def _decode(path, data: bytes) -> str:
+    """``data`` decoded as UTF-8.  Undecodable bytes raise ``IngestionError``
+    naming ``path`` and the row of the first one, counting LF, CRLF and bare
+    CR as line ends as the ``csv`` reader does."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -73,7 +85,9 @@ def exact_header(*names, text_column=None):
 
 
 def read_csv(path, header_rule):
-    """``(header, texts, values, lines)`` of a CSV file, decoded once.
+    """``(header, texts, values, lines)`` of a CSV file, opened once: read
+    in blocks by ``split_plain``, or, when it declines the file, read whole
+    from the start on the same handle and split by ``split_rows``.
 
     ``header_rule(fields)`` is called with the header's stripped fields; it
     returns the text column (0, -1 or None) or raises ``IngestionError`` for
@@ -86,9 +100,14 @@ def read_csv(path, header_rule):
     fields, got M``, ``row N, column 'c': could not parse 'x' as a number``,
     or the ``csv`` module's own complaint.
     """
-    text = read_text(path)
+    with open(path, "rb") as fh:
+        plain = split_plain(fh, header_rule)
+        if plain is not None:
+            return plain
+        fh.seek(0)
+        text = _decode(path, fh.read())
     try:
-        return split_plain(text, header_rule) or split_rows(text, header_rule)
+        return split_rows(text, header_rule)
     except IngestionError as exc:
         raise IngestionError(f"{path}: {exc}") from None
 
@@ -109,56 +128,85 @@ def _number_columns(header, text_column):
     return columns
 
 
-def split_plain(text, header_rule):
-    """``read_csv`` of a file's text in one pass, its errors not yet naming
-    the file, or None when the file needs the row reader.
+def split_plain(fh, header_rule):
+    """``read_csv`` of a binary file from where ``fh`` stands, block by
+    block, or None when the file needs the row reader (or its header is
+    rejected: that error is the row reader's, once the whole file decodes).
 
-    Data lines are the non-blank lines after the header, CRLF read as LF, and
-    the number columns are parsed by one ``np.loadtxt`` call.  The file must
-    hold none of ``ROW_READER_CHARS``, have a non-empty header, at least one
-    number column and one data line, every line as many fields as the header
-    and none longer than ``csv.field_size_limit()``.  Such a file's header
-    reads as the row reader reads it, so ``header_rule``'s error is the same.
+    A block is ``BLOCK_BYTES`` bytes plus the rest of the line they end in,
+    so it ends after an LF or at the end of the file and never splits a
+    UTF-8 character or a CRLF pair.  Each block must decode as UTF-8 and
+    hold none of ``ROW_READER_CHARS`` once CRLF is read as LF; its non-blank
+    lines (data lines; the first line of the file is the header) must have
+    as many fields as the header in total, none be longer than
+    ``csv.field_size_limit()``, and their number columns parse in one
+    ``np.loadtxt`` call.  The header must be non-empty and the file hold at
+    least one number column and one data line.  A file that passes reads as
+    the row reader reads it, whatever the block size, since every check
+    holds for the whole file exactly when it holds for each block.
     """
-    text = text.replace("\r\n", "\n")
-    if any(c in text for c in ROW_READER_CHARS):
-        return None
-    raw = text.split("\n")
     limit = csv.field_size_limit()
-    if not raw[0] or len(raw[0]) > limit:
+    header = None
+    texts, values, starts = [], [], range(2, 2)
+    line = 1  # the file line of the block's first line
+    while data := fh.read(BLOCK_BYTES):
+        if not data.endswith(b"\n"):
+            data += fh.readline()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+        if any(c in text for c in ROW_READER_CHARS):
+            return None
+        parts = text.split("\n")
+        first, skip = line, 0
+        line += len(parts) - 1
+        if header is None:
+            if not parts[0] or len(parts[0]) > limit:
+                return None
+            header = [h.strip() for h in parts[0].split(",")]
+            try:
+                text_column = header_rule(header)
+            except IngestionError:
+                return None
+            columns = _number_columns(header, text_column)
+            commas = len(header) - 1
+            if not columns:
+                return None
+            skip = 1
+        rows = [part for part in itertools.islice(parts, skip, None) if part.strip()]
+        if text.count(",") != commas * (len(rows) + skip):
+            return None
+        if not rows:
+            continue
+        if max(map(len, rows)) > limit:
+            return None
+        # ``np.loadtxt`` ignores fields after the last column it reads and fails
+        # on a line short of it, so with the right comma total only a text
+        # column at the end needs the lines counted one by one.
+        if columns[-1] != commas and any(row.count(",") != commas for row in rows):
+            return None
+        try:
+            values.append(np.loadtxt(rows, delimiter=",", usecols=columns, comments=None, ndmin=2))
+        except ValueError:
+            return None
+        if text_column == 0:
+            texts.extend(row.partition(",")[0] for row in rows)
+        elif text_column is not None:
+            texts.extend(row.rpartition(",")[2] for row in rows)
+        first += skip
+        # ``starts`` stays a range until a blank line comes before a data line.
+        if isinstance(starts, range) and starts.stop == first and parts[skip : skip + len(rows)] == rows:
+            starts = range(starts.start, first + len(rows))
+        else:
+            starts = list(starts) if isinstance(starts, range) else starts
+            starts += [n for n, part in enumerate(itertools.islice(parts, skip, None), first) if part.strip()]
+    if not values:
         return None
-    header = [h.strip() for h in raw[0].split(",")]
-    text_column = header_rule(header)
-    columns = _number_columns(header, text_column)
-    lines = [line for line in itertools.islice(raw, 1, None) if line.strip()]
-    commas = len(header) - 1
-    if (
-        not columns
-        or not lines
-        or text.count(",") != commas * (len(lines) + 1)
-        or max(map(len, lines)) > limit
-    ):
-        return None
-    # ``np.loadtxt`` ignores fields after the last column it reads and fails on
-    # a line short of it, so with the right comma total only a text column at
-    # the end needs the lines counted one by one.
-    if columns[-1] != commas and any(line.count(",") != commas for line in lines):
-        return None
-    try:
-        values = np.loadtxt(lines, delimiter=",", usecols=columns, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if text_column is None:
-        texts = None
-    elif text_column == 0:
-        texts = [line.partition(",")[0] for line in lines]
-    else:
-        texts = [line.rpartition(",")[2] for line in lines]
-    if raw[1 : len(lines) + 1] == lines:  # no blank line before the last data line
-        starts = range(2, len(lines) + 2)
-    else:
-        starts = [n for n, line in enumerate(raw, start=1) if n > 1 and line.strip()]
-    return header, texts, values, starts
+    values = values[0] if len(values) == 1 else np.concatenate(values)
+    return header, (None if text_column is None else texts), values, starts
 
 
 def split_rows(text, header_rule):

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .csvtext import read_json
 from .errors import (
     EmptyDatasetError,
     InconsistentBranchError,
@@ -40,6 +41,7 @@ __all__ = [
     "screen_designs",
     "rules_payload",
     "rule_from_payload",
+    "load_rule",
 ]
 
 
@@ -356,3 +358,12 @@ def rule_from_payload(payload: dict, branch_id: Optional[str] = None) -> Rule:
         raise IngestionError(f"branch {wanted!r} has no {exc}") from None
     except InconsistentBranchError as exc:
         raise IngestionError(f"branch {wanted!r}: {exc}") from None
+
+
+def load_rule(path, branch_id: Optional[str] = None) -> Rule:
+    """``rule_from_payload`` of a rules JSON file; its errors name the file."""
+    payload = read_json(path)
+    try:
+        return rule_from_payload(payload, branch_id)
+    except (IngestionError, InvalidParameterError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -248,8 +248,9 @@ def _polynomial(data, where: str) -> Polynomial:
 
 
 def _check_model(comp: ComponentSpec, origin: str) -> None:
-    """Finite, ordered variable bounds, and responses with finite
-    coefficients whose terms read only declared variables."""
+    """Finite, ordered variable bounds, responses with finite coefficients
+    whose terms read only declared variables, and criteria that name only
+    responses the responder gives."""
     where = f"{origin}component {comp.name!r}"
     for name, lo, hi in comp.variables:
         if not -np.inf < lo < hi < np.inf:
@@ -266,6 +267,12 @@ def _check_model(comp: ComponentSpec, origin: str) -> None:
         coefficients = [poly.const] + [t[-1] for t in poly.linear + poly.quadratic + poly.interactions]
         if not np.isfinite(coefficients).all():
             raise IngestionError(f"{where}: response {key!r} has a coefficient that is not finite")
+    given = ("F_p", "S_p", "M", "SEA", f"avgstiff({comp.name})")
+    for name in comp.criteria.response_names:
+        if name not in given:
+            raise IngestionError(
+                f"{where}: criteria name response {name!r}, not one the responder gives ({', '.join(given)})"
+            )
 
 
 def _check_grids(comp: ComponentSpec, origin: str) -> None:
@@ -320,9 +327,10 @@ def _component(data, origin: str) -> ComponentSpec:
 def load_surrogate(source) -> SurrogateSpec:
     """Read a surrogate spec from a JSON file path or a parsed dict.  A spec
     the responder cannot use (a malformed component, a response term on an
-    undeclared variable, a coefficient or bound that is not finite, curve or
-    histories settings out of range) raises ``IngestionError`` naming the
-    file, and the component and field where there is one."""
+    undeclared variable, a coefficient or bound that is not finite, criteria
+    on a response it does not give, curve or histories settings out of
+    range) raises ``IngestionError`` naming the file, and the component and
+    field where there is one."""
     is_path = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     data = read_json(source) if is_path else source
     origin = f"{source}: " if is_path else ""

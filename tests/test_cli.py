@@ -9,6 +9,7 @@ import pytest
 from designmine.cli import bundled_surrogate_text, main
 from designmine.errors import IngestionError
 from designmine.rules import enumerate_branches
+from designmine.surrogate import load_surrogate
 from designmine.tree import (
     MAX_LAYERS,
     LeafNode,
@@ -182,9 +183,15 @@ BAD_BOUNDS = [
     ({"t": [1.0, float("inf")], "u": [0.0, 10.0]}, "bounds of 't'"),
     ({"t": [1.0, 3.0], "u": [True, 10.0]}, "bounds of 'u'"),
 ]
+# Pairs of finite numbers with lo >= hi.
+UNORDERED_BOUNDS = [
+    ({"t": [3.0, 1.0], "u": [0.0, 10.0]},
+     "bounds of 't' are [3.0, 1.0], not a [lo, hi] pair of finite numbers with lo < hi"),
+    ({"t": [1.0, 3.0], "u": [2, 2]}, "bounds of 'u' are [2, 2],"),
+]
 
 
-@pytest.mark.parametrize("data, message", BAD_BOUNDS)
+@pytest.mark.parametrize("data, message", BAD_BOUNDS + UNORDERED_BOUNDS)
 def test_sample_malformed_bounds_exits_2(tmp_path, capsys, data, message):
     bounds = tmp_path / "b.json"
     bounds.write_text(json.dumps(data), encoding="utf-8")
@@ -194,7 +201,8 @@ def test_sample_malformed_bounds_exits_2(tmp_path, capsys, data, message):
 
 
 @pytest.mark.parametrize(
-    "data, message", BAD_BOUNDS + [({"t": [1.0, 3.0]}, "missing bounds for attribute 'u'")]
+    "data, message",
+    BAD_BOUNDS + [({"t": [1.0, 3.0]}, "missing bounds for attribute 'u'")] + UNORDERED_BOUNDS,
 )
 def test_rules_malformed_bounds_exits_2(dataset_csv, tmp_path, capsys, data, message):
     tree = trained_tree(dataset_csv, tmp_path)
@@ -725,6 +733,26 @@ def test_a_spec_with_criteria_that_are_not_an_object_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error[IngestionError]: {bad}: malformed surrogate component: criteria must be an object, got str\n"
     )
+
+
+@pytest.mark.parametrize("name", ["XYZ", "avgstiff(P3)", "avgstiff(P2"])
+def test_a_spec_whose_criteria_name_a_response_the_responder_does_not_give_exits_2(tmp_path, capsys, name):
+    """The criteria are checked against the responder's record at load, not
+    found wanting at run time."""
+    spec = json.loads(bundled_surrogate_text())
+    criteria = spec["components"][0]["criteria"]
+    criteria["good"][0][0] = criteria["poor"][0][0] = name
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(spec), encoding="utf-8")
+    assert run("demo", "--spec", str(bad), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"error[IngestionError]: {bad}: component 'P2': criteria name response {name!r}, "
+        "not one the responder gives (F_p, S_p, M, SEA, avgstiff(P2))\n"
+    )
+    assert not (tmp_path / "out").exists()
+    criteria["good"][0][0] = criteria["poor"][0][0] = "avgstiff(P2)"
+    bad.write_text(json.dumps(spec), encoding="utf-8")
+    load_surrogate(bad)
 
 
 @pytest.mark.parametrize(

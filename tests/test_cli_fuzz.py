@@ -9,8 +9,9 @@ a tree cannot be grown from no samples.  Every command but ``train`` names
 the damaged file in each error, and ``screen``, ``classify`` and ``metrics``
 reject every non-finite value.
 
-Each JSON case mutates one value of a surrogate spec (``demo --spec``) or a
-stored tree (``classify --tree``): it deletes a key or list item, puts a
+Each JSON case mutates one value of a surrogate spec (``demo --spec``), a
+stored tree (``classify --tree``), a rules file (``sample --rules``) or a
+bounds file (``sample --bounds``): it deletes a key or list item, puts a
 value of another type in its place, or puts NaN or an infinity there.  The
 run must end in a documented exit code with one line on stderr, and a file
 its loader rejects must be named in the error.
@@ -25,8 +26,9 @@ import random
 import numpy as np
 import pytest
 
-from designmine.cli import bundled_surrogate_text, main
+from designmine.cli import _load_bounds_file, bundled_surrogate_text, main
 from designmine.errors import DesignMineError
+from designmine.rules import load_rule
 from designmine.surrogate import load_surrogate
 from designmine.tree import load_tree
 
@@ -65,6 +67,9 @@ def inputs(tmp_path_factory):
         (root / name).write_text(text, encoding="utf-8")
     assert main(["train", "--data", str(root / "data.csv"), "--max-layers", "4",
                  "--out", str(root / "tree.json")]) == 0
+    assert main(["rules", "--tree", str(root / "tree.json"), "--data", str(root / "data.csv"),
+                 "--min-lp", "0.5", "--out", str(root / "rules.json")]) == 0
+    (root / "bounds.json").write_text(json.dumps({"t": [1.0, 3.0], "u": [0.0, 10.0]}), encoding="utf-8")
     return root, texts
 
 
@@ -194,6 +199,14 @@ JSON_SLOTS = {
         load_tree,
         lambda root, path: ["classify", "--tree", path, "--data", str(root / "designs.csv"), "--out", str(root / "out")],
     ),
+    "--rules": (
+        load_rule,
+        lambda root, path: ["sample", "--rules", path, "--n", "5", "--out", str(root / "out")],
+    ),
+    "--bounds": (
+        _load_bounds_file,
+        lambda root, path: ["sample", "--bounds", path, "--n", "5", "--out", str(root / "out")],
+    ),
 }
 
 
@@ -202,7 +215,10 @@ JSON_SLOTS = {
 def test_damaged_json_inputs_exit_with_a_documented_code(inputs, tmp_path, capsys, slot, kind):
     root, _ = inputs
     loader, command = JSON_SLOTS[slot]
-    text = bundled_surrogate_text() if slot == "--spec" else (root / "tree.json").read_text(encoding="utf-8")
+    if slot == "--spec":
+        text = bundled_surrogate_text()
+    else:
+        text = (root / f"{slot[2:]}.json").read_text(encoding="utf-8")
     damaged = tmp_path / "damaged.json"
     for seed in JSON_SEEDS:
         rng = random.Random(f"{slot}-{kind}-{seed}")

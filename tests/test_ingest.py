@@ -11,6 +11,7 @@ equal to the one ``tree`` builds from those tuples, and raise their errors.
 import csv
 import math
 import re
+import sys
 import warnings
 from unittest import mock
 
@@ -65,9 +66,14 @@ def read_dataset_csv(path, expect_label):
     return names, values, labels or []
 
 
+#: Block sizes for ``csvtext.split_plain``: a line per block, a few lines
+#: per block, and the whole of every small file in one block.
+BLOCK_SIZES = (1, 7, 64, csvtext.BLOCK_BYTES)
+
+
 def assert_reads_like_oracle(path, expect_label):
-    got = outcome(lambda p: read_dataset_csv(p, expect_label), path)
-    points = outcome(load_design_points, path)
+    """The dataset and design readers read the file as the row references
+    do, at every size in ``BLOCK_SIZES``."""
     try:
         path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -75,10 +81,14 @@ def assert_reads_like_oracle(path, expect_label):
         # before the bad byte; the package decodes first.
         data = path.read_bytes()[: exc.start]
         row = 1 + data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-        assert got == points == f"{path}: row {row}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
-        return
-    assert_same(outcome(lambda p: oracle_read_csv(p, expect_label), path), got)
-    assert_same(outcome(oracle_load_design_points, path), points)
+        expected = points = f"{path}: row {row}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
+    else:
+        expected = outcome(lambda p: oracle_read_csv(p, expect_label), path)
+        points = outcome(oracle_load_design_points, path)
+    for size in BLOCK_SIZES:
+        with mock.patch.object(csvtext, "BLOCK_BYTES", size):
+            assert_same(expected, outcome(lambda p: read_dataset_csv(p, expect_label), path))
+            assert_same(points, outcome(load_design_points, path))
 
 
 def assert_same(expected, got):
@@ -149,12 +159,21 @@ def test_odd_dataset_files_read_as_the_row_reader_reads_them(tmp_path, body):
 CURVE_RULE = csvtext.exact_header("u_m", "F_kN")
 
 
+def row_path(path):
+    return csvtext.split_rows(csvtext.read_text(path), CURVE_RULE)
+
+
+def plain_path(path):
+    with open(path, "rb") as fh:
+        return csvtext.split_plain(fh, CURVE_RULE)
+
+
 def read_curve_by(split):
     """``load_curve``'s reading through one of ``read_csv``'s two paths."""
 
     def read(path):
         try:
-            header, _, values, _ = split(csvtext.read_text(path), CURVE_RULE)
+            header, _, values, _ = split(path)
         except IngestionError as exc:
             raise IngestionError(f"{path}: {exc}") from None
         return header, values, []
@@ -191,15 +210,17 @@ def test_odd_curve_files_read_as_the_row_reader_reads_them(tmp_path, body, plain
     for header in ("u_m,F_kN\n", " u_m , F_kN \r\n"):
         path.write_bytes((header + body).encode("utf-8"))
         expected = outcome(lambda p: oracle_read_csv(p, expect_label=False), path)
-        assert_same(expected, outcome(read_curve_by(csvtext.split_rows), path))
-        if plain:
-            assert_same(expected, outcome(read_curve_by(csvtext.split_plain), path))
-        else:
-            assert csvtext.split_plain(csvtext.read_text(path), CURVE_RULE) is None
-        if not isinstance(expected, tuple):  # the reference's error is load_curve's
-            with pytest.raises(IngestionError) as exc:
-                load_curve(path)
-            assert_same(expected, str(exc.value))
+        assert_same(expected, outcome(read_curve_by(row_path), path))
+        for size in BLOCK_SIZES:
+            with mock.patch.object(csvtext, "BLOCK_BYTES", size):
+                if plain:
+                    assert_same(expected, outcome(read_curve_by(plain_path), path))
+                else:
+                    assert plain_path(path) is None
+                if not isinstance(expected, tuple):  # the reference's error is load_curve's
+                    with pytest.raises(IngestionError) as exc:
+                        load_curve(path)
+                    assert_same(expected, str(exc.value))
 
 
 def test_dataset_fields_over_the_csv_limit_read_as_the_row_reader_reads_them(tmp_path):
@@ -309,6 +330,54 @@ def test_every_csv_load_opens_its_file_once(tmp_path, kind, data):
     assert [call.args[0] for call in opened.call_args_list].count(path) == 1
 
 
+PLAIN_FILES = {
+    "dataset": "a,label\r\n1,g\r\n\r\n  \r\n2.5,p\r\n-0.0,g\r\n3,p",
+    "widened": "a,label\n1,g\n\n\t\n2.5,p\n-4,\u20ac",
+    "design": "a,b\n1,2\n\n3,4\n \n5e-324,6",
+    "point": "id,x,y,z\r\n\xe9,1,2,3\r\n\r\n\u20ac\U0001f600,4,5,6\r\n  \r\nn,7,8,9",
+    "curve": "u_m,F_kN\n0,0\n\n0.1,5\n0.2,5",
+    "histories": "t_s,s1_mm,s2_mm,s3_mm,s4_mm\r\n0,0,0,0,0\r\n\r\n0.5,1,2,3,4\r\n1,2,3,4,5",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PLAIN_FILES))
+def test_every_format_reads_the_same_at_every_block_size(tmp_path, kind):
+    """CRLF, blank and whitespace-only lines, no last line end and ids or
+    labels of multi-byte characters, read a line per block, a few lines per
+    block or in one block."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(PLAIN_FILES[kind].encode("utf-8"))
+    results = []
+    for size in BLOCK_SIZES:
+        with mock.patch.object(csvtext, "BLOCK_BYTES", size), \
+                mock.patch.object(csvtext, "split_rows", side_effect=AssertionError("row path")), \
+                np.printoptions(floatmode="unique", threshold=sys.maxsize):
+            results.append(repr(LOADERS[kind](path)))
+    assert results == [results[-1]] * len(BLOCK_SIZES)
+
+
+def test_line_numbers_count_blank_lines_in_every_block(tmp_path):
+    """Rows keep the file line they start on whichever block a blank line
+    falls in, and the lines stay a range while no blank line comes before
+    the last data line."""
+    path = tmp_path / "in.csv"
+    rule = csvtext.exact_header("a", "b")
+    for data, lines in [
+        (b"a,b\r\n1,2\r\n\r\n  \r\n3,4\n5,6\n\n\n7,8\n\n", [2, 5, 6, 9]),
+        (b"a,b\n\n1,2\n3,4", [3, 4]),
+        (b"a,b\n1,2\n3,4\n\n \n", range(2, 4)),
+    ]:
+        path.write_bytes(data)
+        for size in BLOCK_SIZES:
+            with mock.patch.object(csvtext, "BLOCK_BYTES", size):
+                assert csvtext.read_csv(path, rule)[3] == lines
+    path.write_bytes(b"u_m,F_kN\n0,1\n\n1,2\n\n2,nan\n")
+    for size in BLOCK_SIZES:
+        with mock.patch.object(csvtext, "BLOCK_BYTES", size), pytest.raises(IngestionError) as exc:
+            load_curve(path)
+        assert str(exc.value) == f"{path}: row 6: non-finite value"
+
+
 NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(1e-3, 1e3).map("{:e}".format),
@@ -320,7 +389,7 @@ BAD_NUMBERS = {
     "inf": ["inf", "-Infinity", "1e400"],
     "bad": ["abc", "1.2.3", "", "--1", "0x10"],
 }
-LABELS = st.sampled_from(["g", "p", " m ", "", "#", "\xe9", " ", "a b", "q,r", 'say "x"', "1.5"])
+LABELS = st.sampled_from(["g", "p", " m ", "", "#", "\xe9", "\u20ac", "\U0001f600", " ", "a b", "q,r", 'say "x"', "1.5"])
 HEADERS = st.sampled_from(["a,label", "a,b,label", " a , b , label ", "a,b", "a,a,label", "label", ""])
 BLANK_ROWS = st.sampled_from(["", "  ", "\t", ",,", " , , "])
 
@@ -333,9 +402,10 @@ def csv_field(text, quote):
 
 @st.composite
 def dataset_files(draw):
-    """Bytes of a dataset CSV: odd headers, number forms, labels, blank
-    rows and line ends, at most one malformed row, and sometimes a byte that
-    is not UTF-8."""
+    """Bytes of a dataset CSV: odd headers, number forms, labels (characters
+    of 1 to 4 UTF-8 bytes among them), blank and whitespace-only rows, LF,
+    CRLF or bare CR line ends with or without a last one, at most one
+    malformed row, and sometimes a byte that is not UTF-8."""
     header = draw(HEADERS)
     k = max(1, len(header.split(",")) - 1)
     rows = []

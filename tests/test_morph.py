@@ -463,8 +463,12 @@ def outcome(loader, path):
             return str(exc)
 
 
-def assert_reads_like_oracle(path):
-    expected, got = outcome(oracle_load_points, path), outcome(load_points, path)
+#: Block sizes for ``csvtext.split_plain``: a line per block, a few lines
+#: per block, and the whole of every small file in one block.
+BLOCK_SIZES = (1, 7, 64, csvtext.BLOCK_BYTES)
+
+
+def assert_same_points(expected, got):
     if isinstance(expected, str):
         assert got == expected
         return
@@ -475,9 +479,18 @@ def assert_reads_like_oracle(path):
     assert np.array_equal(np.signbit(got[1]), np.signbit(expected[1]))
 
 
+def assert_reads_like_oracle(path):
+    """``load_points`` reads the file as the row reference does, at every
+    size in ``BLOCK_SIZES``."""
+    expected = outcome(oracle_load_points, path)
+    for size in BLOCK_SIZES:
+        with mock.patch.object(csvtext, "BLOCK_BYTES", size):
+            assert_same_points(expected, outcome(load_points, path))
+
+
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-ID_CHARS = st.sampled_from(["a", "7", " ", "#", ",", '"', "\r", "\u2028", "\xe9", "\t"])
+ID_CHARS = st.sampled_from(["a", "7", " ", "#", ",", '"', "\r", "\u2028", "\xe9", "\t", "\u20ac", "\U0001f600"])
 TOKENS = st.one_of(
     FINITE.map(repr),
     FINITE.map("{:e}".format),
@@ -500,8 +513,9 @@ def csv_id(text, quote):
 
 @st.composite
 def point_files(draw):
-    """Text of a point CSV: odd ids, number forms, blank rows and line ends,
-    and at most one malformed row."""
+    """Text of a point CSV: odd ids (characters of 1 to 4 UTF-8 bytes among
+    them), number forms, blank and whitespace-only rows, LF, CRLF or bare CR
+    line ends with or without a last one, and at most one malformed row."""
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         ident = csv_id(draw(st.text(ID_CHARS, max_size=4)), draw(st.booleans()))
@@ -536,6 +550,59 @@ def test_load_points_matches_the_row_reader(scratch, text):
     path = scratch / "pts.csv"
     path.write_bytes(text.encode("utf-8"))
     assert_reads_like_oracle(path)
+
+
+def point_rows_bytes(n):
+    return "".join(f"n{i},{i},{i / 7!r},-{i}\n" for i in range(n)).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        pytest.param(b'"n,250",1,2,3', None, id="quote"),
+        pytest.param(b"n250\r,1,2,3", None, id="bare-cr"),
+        pytest.param(b"n250,1,2", "row 252: expected 4 fields, got 3", id="short"),
+        pytest.param(b"n250,1,x,3", "row 252, column 'y': could not parse 'x' as a number", id="number"),
+        pytest.param(b"n250\xe9,1,2,3", "row 252: byte 0xe9 is not valid UTF-8", id="not-utf8"),
+    ],
+)
+def test_a_fault_in_a_later_block_reads_as_the_whole_file_does(tmp_path, fault, message):
+    """A line that sends the file to the row reader, found blocks after the
+    first, gives the row reader's result or error with its row, and the file
+    is still opened once: the reader goes back to the start on its handle."""
+    lines = point_rows_bytes(300).split(b"\n")
+    lines[250] = fault
+    data = b"id,x,y,z\n" + b"\n".join(lines)
+    assert data.index(fault) > 4 * 1024
+    path = tmp_path / "pts.csv"
+    path.write_bytes(data)
+    with mock.patch.object(csvtext, "BLOCK_BYTES", 1024), mock.patch("builtins.open", wraps=open) as opened:
+        got = outcome(load_points, path)
+    assert [call.args[0] for call in opened.call_args_list].count(path) == 1
+    if message is None:
+        assert_same_points(outcome(oracle_load_points, path), got)
+    else:
+        assert got == f"{path}: {message}"
+        if b"\xe9" not in fault:
+            assert outcome(oracle_load_points, path) == got
+
+
+def test_load_points_holds_one_block_besides_what_it_returns(tmp_path):
+    """Reading 50 000 points, tracemalloc's peak stays below twice what the
+    reader returns (ids and coordinates): the file's text, its split lines
+    and a CRLF copy are never held whole."""
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"id,x,y,z\n" + point_rows_bytes(50_000))
+    load_points(path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ids, points = load_points(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == len(points) == 50_000
+    assert peak - before < 2 * (kept - before)
 
 
 def csv_writer_bytes(ids, coords):

@@ -7,6 +7,7 @@ converted from its tuples bit for bit, and the sums over them must be the
 sums over the tuples added in order.
 """
 
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from designmine.tree import (
     TreeConfig,
     build_tree,
+    classify_batch,
     iter_leaves,
     k_fold_cv,
     test_accuracy as accuracy_on,
@@ -165,3 +167,55 @@ def test_leaf_lp_sums_to_one_after_a_json_round_trip():
         assert tree_to_dict(again) == tree_to_dict(tree)
         for leaf in iter_leaves(again):
             assert math.isclose(in_order(leaf.lp.values()), 1.0, abs_tol=1e-12)
+
+
+LABEL_SETS = st.sampled_from([("g",), ("g", "p"), ("g", "m", "p"), ("m", "p")])
+LP_WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+CELL_MEANS = st.one_of(st.floats(-12.0, -0.01), st.floats(0.01, 12.0))
+
+
+@st.composite
+def random_trees(draw):
+    """The ``tree_to_dict`` form of a tree of random splits (any attribute,
+    any threshold, children's thresholds unordered against their parent's)
+    and random leaf lps, up to 5 layers deep."""
+    k = draw(st.integers(1, 3))
+    labels = draw(LABEL_SETS)
+
+    def node(layers):
+        if layers == 0 or draw(st.integers(0, 2)) == 0:
+            weights = draw(st.lists(LP_WEIGHTS, min_size=len(labels), max_size=len(labels)).filter(any))
+            lp = {label: w / in_order(weights) for label, w in zip(labels, weights)}
+            return {"kind": "leaf", "lp": lp, "mass": draw(st.floats(0.0, 1e3))}
+        return {
+            "kind": "split",
+            "attr": draw(st.integers(0, k - 1)),
+            "threshold": draw(st.floats(-10.0, 10.0)),
+            "left": node(layers - 1),
+            "right": node(layers - 1),
+        }
+
+    root = node(draw(st.integers(0, 5)))
+    return {"attributes": [f"a{i}" for i in range(k)], "labels": list(labels), "root": root}
+
+
+@PROPERTY
+@given(st.data(), random_trees())
+def test_random_trees_keep_lp_sums_through_json_and_classification(data, doc):
+    """Every leaf's lp sums to 1 after a ``tree_to_dict``/``tree_from_dict``
+    round trip through JSON text, and each row ``classify_batch`` gives,
+    the leaves' lps weighted by the mass that reaches them, sums to 1."""
+    tree = tree_from_dict(doc)
+    again = tree_from_dict(json.loads(json.dumps(tree_to_dict(tree))))
+    assert tree_to_dict(again) == tree_to_dict(tree)
+    for leaf in iter_leaves(again):
+        assert math.isclose(in_order(leaf.lp.values()), 1.0, abs_tol=1e-12)
+    k = len(doc["attributes"])
+    uncertainty = data.draw(st.sampled_from([0.0, 0.05, 0.3]))
+    rows = data.draw(st.lists(st.lists(CELL_MEANS, min_size=k, max_size=k), max_size=6))
+    tuples = [fresh_tuple(i, [make_marginal(v, uncertainty) for v in row], "g") for i, row in enumerate(rows)]
+    lp = classify_batch(again, tuples)
+    assert lp.shape == (len(rows), len(doc["labels"]))
+    assert (lp >= 0.0).all()
+    for row in lp.tolist():
+        assert math.isclose(in_order(row), 1.0, abs_tol=1e-12)
